@@ -168,7 +168,8 @@ void bench_a2a_grid(index_t m, index_t p, int g) {
   const dist::ProcGrid grid{2, 2};
   const double bytes = 2.0 * 2.0 * double(m) * double(p) * sizeof(Cx);  // 2 phases, rd + wr
   double sec = time_best([&] {
-    dist::all_to_all_permute_mp_grid(fabric, in, out, work, m, p, grid);
+    dist::exchange_pencil2d_row(in, work, m, p, grid).run(fabric);
+    dist::exchange_pencil2d_col(work, out, m, p, grid).run(fabric);
     fabric.reset();
   });
   record("a2a_pencil_2x2", "gbytes_per_s", bytes / sec / 1e9, sec);

@@ -132,4 +132,35 @@ class ScratchBlock {
   index_t n_;
 };
 
+/// Standard allocator leasing from the calling thread's arena, for
+/// short-lived containers on hot paths: once the arena is warm, steady-state
+/// use allocates nothing. Each lease carries its slab capacity in a
+/// kAlignment-byte header, so the container may free it on any thread (the
+/// slab then joins that thread's arena).
+template <typename T>
+struct ScratchAllocator {
+  static_assert(alignof(T) <= kAlignment);
+  using value_type = T;
+
+  ScratchAllocator() = default;
+  template <typename U>
+  ScratchAllocator(const ScratchAllocator<U>&) {}
+
+  T* allocate(std::size_t n) {
+    std::size_t cap = 0;
+    auto* p = static_cast<unsigned char*>(
+        ScratchArena::local().checkout(kAlignment + n * sizeof(T), &cap));
+    *reinterpret_cast<std::size_t*>(p) = cap;
+    return reinterpret_cast<T*>(p + kAlignment);
+  }
+  void deallocate(T* q, std::size_t) {
+    auto* p = reinterpret_cast<unsigned char*>(q) - kAlignment;
+    ScratchArena::local().release(p, *reinterpret_cast<std::size_t*>(p));
+  }
+  template <typename U>
+  bool operator==(const ScratchAllocator<U>&) const {
+    return true;
+  }
+};
+
 }  // namespace fmmfft

@@ -11,18 +11,6 @@
 #include "obs/obs.hpp"
 
 namespace fmmfft::dist {
-namespace {
-
-template <typename T>
-std::vector<std::complex<T>*> ptrs(std::vector<Buffer<std::complex<T>>>& slabs) {
-  std::vector<std::complex<T>*> p;
-  p.reserve(slabs.size());
-  for (auto& s : slabs) p.push_back(s.data());
-  return p;
-}
-
-}  // namespace
-
 template <typename T>
 DistFft1d<T>::DistFft1d(index_t n, int g)
     : n_(n),
@@ -53,14 +41,14 @@ template <typename T>
 void DistFft1d<T>::execute(const std::complex<T>* in, std::complex<T>* out) {
   using Cx = std::complex<T>;
   const index_t slab = n_ / g_;
-  auto a = ptrs(slab_a_);
-  auto b = ptrs(slab_b_);
+  auto a = buffer_ptrs(slab_a_);
+  auto b = buffer_ptrs(slab_b_);
 
   // Device-resident input: scatter is a local placement, not traffic.
   for (int r = 0; r < g_; ++r) std::memcpy(a[(std::size_t)r], in + r * slab, sizeof(Cx) * slab);
 
   // (1) Transpose P-major -> M-major (all-to-all #1).
-  all_to_all_permute_mp(fabric_, a, b, m_, p_, "A2A-1");
+  exchange_permute_mp(a, b, m_, p_, "A2A-1").run(fabric_);
   // (2) P local FFTs of size M (P/G per device, contiguous blocks).
   {
     FMMFFT_SPAN("DFFT-M");
@@ -74,7 +62,7 @@ void DistFft1d<T>::execute(const std::complex<T>* in, std::complex<T>* out) {
       for (index_t i = 0; i < slab; ++i) b[(std::size_t)r][i] *= twiddle_[r * slab + i];
   }
   // (4) Transpose M-major -> P-major (all-to-all #2).
-  all_to_all_permute_mp(fabric_, b, a, p_, m_, "A2A-2");
+  exchange_permute_mp(b, a, p_, m_, "A2A-2").run(fabric_);
   // (5) M local FFTs of size P.
   {
     FMMFFT_SPAN("DFFT-P");
@@ -82,7 +70,7 @@ void DistFft1d<T>::execute(const std::complex<T>* in, std::complex<T>* out) {
       plan_p_.execute_batched(a[(std::size_t)r], m_ / g_, fft::Direction::Forward);
   }
   // (6) Transpose P-major -> M-major (all-to-all #3): in-order output.
-  all_to_all_permute_mp(fabric_, a, b, m_, p_, "A2A-3");
+  exchange_permute_mp(a, b, m_, p_, "A2A-3").run(fabric_);
 
   for (int r = 0; r < g_; ++r) std::memcpy(out + r * slab, b[(std::size_t)r], sizeof(Cx) * slab);
 }
@@ -133,12 +121,13 @@ void Dist2dFft<T>::execute_slabs_serial(const std::vector<std::complex<T>*>& sla
   // (b) Π_{M,P} all-to-all — the FMM-FFT's single transpose, one-phase or
   // factorized through the row/column sub-communicators.
   hb.phase("a2a");
-  auto sc = ptrs(scratch_);
+  auto sc = buffer_ptrs(scratch_);
   if (decomp_ == model::Decomp::Pencil) {
-    auto wk = ptrs(work_);
-    all_to_all_permute_mp_grid(fabric, slabs, sc, wk, m_, p_, grid_);
+    auto wk = buffer_ptrs(work_);
+    exchange_pencil2d_row(slabs, wk, m_, p_, grid_).run(fabric);
+    exchange_pencil2d_col(wk, sc, m_, p_, grid_).run(fabric);
   } else {
-    all_to_all_permute_mp(fabric, slabs, sc, m_, p_, "A2A-2D");
+    exchange_permute_mp(slabs, sc, m_, p_, "A2A-2D").run(fabric);
   }
   // (c) P local FFTs of size M (P/G per device).
   {
@@ -163,22 +152,19 @@ std::vector<exec::TaskId> Dist2dFft<T>::submit_slabs(exec::TaskGraph& graph,
   using Cx = std::complex<T>;
   FMMFFT_CHECK((index_t)slabs.size() == g_);
   FMMFFT_CHECK(ready.empty() || (int)ready.size() == g_);
-  if (decomp_ == model::Decomp::Pencil)
-    return submit_slabs_pencil(graph, lanes, slabs, fabric, ready);
   const index_t mg = m_ / g_, pg = p_ / g_, slab = m_ * p_ / g_;
   // Same chunk granularity the simulated schedule pipelines with
   // (schedules.cpp chunk_count): enough chunks that a copy can start while
   // the remaining row FFTs still run, floored by the rows themselves.
   const index_t nc = std::min<index_t>(std::max<index_t>(2, g_), mg);
-  const index_t step = (mg + nc - 1) / nc;
-  auto sc = ptrs(scratch_);
+  auto sc = buffer_ptrs(scratch_);
 
   // (a) Row FFTs, one task per chunk of contiguous p-major rows. Rows are
   // independent lines, so chunks are unordered: order cannot change bits.
   std::vector<std::vector<exec::TaskId>> fftp((std::size_t)g_);
   for (int r = 0; r < g_; ++r)
     for (index_t c = 0; c < nc; ++c) {
-      const index_t lo = c * step, hi = std::min(mg, lo + step);
+      const auto [lo, hi] = chunk_range(mg, nc, c);
       if (lo >= hi) break;
       std::vector<exec::TaskId> deps;
       if (!ready.empty()) deps.push_back(ready[(std::size_t)r]);
@@ -193,45 +179,34 @@ std::vector<exec::TaskId> Dist2dFft<T>::submit_slabs(exec::TaskGraph& graph,
           },
           std::move(deps)));
     }
+  auto row_fft = [&](int s, int c) { return fftp[(std::size_t)s][(std::size_t)c]; };
 
-  // (b) The single all-to-all, chunk-pipelined and fused: for every
-  // (src, dst) pair and row chunk, one strided gather-scatter on src's
-  // compute lane writes the chunk straight into dst's scratch slab (the
-  // simulator's one-address-space twin of peer-to-peer strided writes) —
-  // no staging buffers, no memmove. The pair's link lane carries a record
-  // task accounting the payload, so lane structure and fabric bytes are
-  // unchanged from the staged path. A chunk's pack waits only on the row
-  // FFTs that produced its rows; chunks write disjoint dst regions, so
-  // they overlap freely.
-  std::vector<std::vector<exec::TaskId>> arrived((std::size_t)g_);
-  std::vector<std::vector<exec::TaskId>> packs_from((std::size_t)g_);
-  for (int r = 0; r < g_; ++r) {
-    for (int rr = 0; rr < g_; ++rr) {
-      for (index_t c = 0; c < nc; ++c) {
-        const index_t lo = c * step, hi = std::min(mg, lo + step);
-        if (lo >= hi) break;
-        const index_t cnt = (hi - lo) * pg;
-        const Cx* in = slabs[(std::size_t)r];
-        Cx* out = sc[(std::size_t)rr];
-        const std::string sfx = " " + std::to_string(r) + "->" + std::to_string(rr) + " c" +
-                                std::to_string(c);
-        const exec::TaskId pack = graph.submit(
-            "pack" + sfx, {lanes.compute(r), /*ordered=*/false, "a2a"},
-            [this, in, out, lo, hi, r, rr, mg, pg] {
-              detail::a2a_pair_fused(in, out, r, rr, m_, p_, mg, pg, lo, hi);
-            },
-            {fftp[(std::size_t)r][(std::size_t)c]});
-        const exec::TaskId copy = graph.submit(
-            "copy" + sfx, {lanes.copy(r, rr), /*ordered=*/true, "a2a"},
-            [&fabric, r, rr, cnt] {
-              fabric.record(r, rr, double(cnt) * sizeof(Cx), "A2A-2D",
-                            sizeof(real_of_t<Cx>) == 4);
-            },
-            {pack});
-        packs_from[(std::size_t)r].push_back(pack);
-        arrived[(std::size_t)rr].push_back(copy);
-      }
-    }
+  // (b) The single all-to-all, chunk-pipelined and fused: each pair's
+  // chunk scatters straight into the receiver's scratch slab as soon as
+  // the row FFT that produced its rows is done, and chunks overlap freely
+  // (disjoint receiver regions). Pencil mode runs the row phase the same
+  // way into the work buffers, joins per intermediate device, then runs
+  // the column phase into the scratch slabs. a2a.reads[r] ends up holding
+  // the tasks that read slabs[r].
+  typename Exchange<Cx>::Tasks a2a;
+  std::string join_label = "a2a-join d";
+  if (decomp_ == model::Decomp::Pencil) {
+    auto wk = buffer_ptrs(work_);
+    auto row = exchange_pencil2d_row(slabs, wk, m_, p_, grid_, nc).submit(graph, lanes, fabric,
+                                                                          row_fft);
+    std::vector<exec::TaskId> row_join((std::size_t)g_);
+    for (int t = 0; t < g_; ++t)
+      row_join[(std::size_t)t] =
+          graph.submit("row-join d" + std::to_string(t),
+                       {lanes.compute(t), /*ordered=*/false, "sync"}, [] {},
+                       row.arrived[(std::size_t)t]);
+    a2a = exchange_pencil2d_col(wk, sc, m_, p_, grid_)
+              .submit(graph, lanes, fabric, [&](int t, int) { return row_join[(std::size_t)t]; });
+    a2a.reads = std::move(row.reads);
+    join_label = "col-join d";
+  } else {
+    a2a = exchange_permute_mp(slabs, sc, m_, p_, "A2A-2D", nc).submit(graph, lanes, fabric,
+                                                                      row_fft);
   }
 
   // (c) Column FFTs per device once every fragment of its scratch slab has
@@ -240,13 +215,12 @@ std::vector<exec::TaskId> Dist2dFft<T>::submit_slabs(exec::TaskGraph& graph,
   std::vector<exec::TaskId> terminal((std::size_t)g_);
   for (int r = 0; r < g_; ++r) {
     const exec::TaskId join =
-        graph.submit("a2a-join d" + std::to_string(r),
+        graph.submit(join_label + std::to_string(r),
                      {lanes.compute(r), /*ordered=*/false, "sync"}, [] {},
-                     arrived[(std::size_t)r]);
+                     a2a.arrived[(std::size_t)r]);
     std::vector<exec::TaskId> fftm;
-    const index_t stepm = (pg + nc - 1) / nc;
     for (index_t c = 0; c < nc; ++c) {
-      const index_t lo = c * stepm, hi = std::min(pg, lo + stepm);
+      const auto [lo, hi] = chunk_range(pg, nc, c);
       if (lo >= hi) break;
       Cx* base = sc[(std::size_t)r] + lo * m_;
       const index_t rows = hi - lo;
@@ -260,155 +234,7 @@ std::vector<exec::TaskId> Dist2dFft<T>::submit_slabs(exec::TaskGraph& graph,
           {join}));
     }
     std::vector<exec::TaskId> deps = fftm;
-    deps.insert(deps.end(), packs_from[(std::size_t)r].begin(), packs_from[(std::size_t)r].end());
-    Cx* dst = slabs[(std::size_t)r];
-    const Cx* src = sc[(std::size_t)r];
-    terminal[(std::size_t)r] = graph.submit(
-        "writeback d" + std::to_string(r), {lanes.compute(r), /*ordered=*/true, "fft"},
-        [dst, src, slab] { std::memcpy(dst, src, sizeof(Cx) * (std::size_t)slab); },
-        std::move(deps));
-  }
-  return terminal;
-}
-
-template <typename T>
-std::vector<exec::TaskId> Dist2dFft<T>::submit_slabs_pencil(
-    exec::TaskGraph& graph, const exec::DeviceLanes& lanes,
-    const std::vector<std::complex<T>*>& slabs, sim::Fabric& fabric,
-    const std::vector<exec::TaskId>& ready) {
-  using Cx = std::complex<T>;
-  const int pr = grid_.pr, pc = grid_.pc;
-  const index_t mg = m_ / g_, pg = p_ / g_, slab = m_ * p_ / g_;
-  const index_t block = pg * mg;
-  const index_t nc = std::min<index_t>(std::max<index_t>(2, g_), mg);
-  const index_t step = (mg + nc - 1) / nc;
-  const bool f32 = sizeof(T) == 4;
-  auto sc = ptrs(scratch_);
-  auto wk = ptrs(work_);
-
-  // (a) Row FFT chunks, identical to the slab path.
-  std::vector<std::vector<exec::TaskId>> fftp((std::size_t)g_);
-  for (int r = 0; r < g_; ++r)
-    for (index_t c = 0; c < nc; ++c) {
-      const index_t lo = c * step, hi = std::min(mg, lo + step);
-      if (lo >= hi) break;
-      std::vector<exec::TaskId> deps;
-      if (!ready.empty()) deps.push_back(ready[(std::size_t)r]);
-      Cx* base = slabs[(std::size_t)r] + lo * p_;
-      const index_t rows = hi - lo;
-      fftp[(std::size_t)r].push_back(graph.submit(
-          "fftp d" + std::to_string(r) + " c" + std::to_string(c),
-          {lanes.compute(r), /*ordered=*/false, "fft"},
-          [this, base, rows] {
-            FMMFFT_SPAN("2DFFT-P");
-            plan_p_.execute_batched(base, rows, fft::Direction::Forward);
-          },
-          std::move(deps)));
-    }
-
-  // (b) Row phase: sender s = (i,j) ships the chunks destined for grid
-  // column jj to the intermediate t = (i,jj), same orientation (pure row
-  // copies into t's work buffer). A chunk waits only on the row FFT that
-  // produced its rows.
-  std::vector<std::vector<exec::TaskId>> arrived_row((std::size_t)g_);
-  std::vector<std::vector<exec::TaskId>> packs_row_from((std::size_t)g_);
-  for (int s = 0; s < g_; ++s) {
-    const int i = grid_.row_of(s), j = grid_.col_of(s);
-    for (int jj = 0; jj < pc; ++jj) {
-      const int t = grid_.device(i, jj);
-      for (index_t c = 0; c < nc; ++c) {
-        const index_t lo = c * step, hi = std::min(mg, lo + step);
-        if (lo >= hi) break;
-        const Cx* in = slabs[(std::size_t)s] + index_t(jj) * pg + lo * p_;
-        Cx* out = wk[(std::size_t)t] + index_t(j) * pr * block + lo * pg;
-        const index_t rows = hi - lo;
-        const std::string sfx =
-            " " + std::to_string(s) + "->" + std::to_string(t) + " c" + std::to_string(c);
-        const exec::TaskId pack = graph.submit(
-            "row-pack" + sfx, {lanes.compute(s), /*ordered=*/false, "a2a"},
-            [this, in, out, rows, pg, pc, pr, block] {
-              detail::a2a_pair_copy_strided(in, out, /*row_elems=*/pg, /*rows=*/rows,
-                                            /*in_ld=*/p_, /*out_ld=*/pg,
-                                            /*batch=*/index_t(pr),
-                                            /*in_bstride=*/index_t(pc) * pg,
-                                            /*out_bstride=*/block, detail::A2aScope::Row);
-            },
-            {fftp[(std::size_t)s][(std::size_t)c]});
-        packs_row_from[(std::size_t)s].push_back(pack);
-        arrived_row[(std::size_t)t].push_back(graph.submit(
-            "row-copy" + sfx, {lanes.copy(s, t), /*ordered=*/true, "a2a"},
-            [&fabric, s, t, rows, pg, pr, f32] {
-              fabric.record(s, t, double(pr) * double(rows) * double(pg) * sizeof(Cx),
-                            "A2A-ROW", f32);
-            },
-            {pack}));
-      }
-    }
-  }
-
-  // (c) Column phase: the intermediate t = (i,jj) scatters batch ii of
-  // every sender column into d = (ii,jj)'s final cyclic layout (the only
-  // transposing hop). It reads t's whole work buffer, so it waits on t's
-  // row join; writes go to d's scratch slab, which nothing else touches.
-  std::vector<exec::TaskId> row_join((std::size_t)g_);
-  for (int t = 0; t < g_; ++t)
-    row_join[(std::size_t)t] =
-        graph.submit("row-join d" + std::to_string(t),
-                     {lanes.compute(t), /*ordered=*/false, "sync"}, [] {},
-                     arrived_row[(std::size_t)t]);
-  std::vector<std::vector<exec::TaskId>> arrived_col((std::size_t)g_);
-  for (int t = 0; t < g_; ++t) {
-    const int i = grid_.row_of(t), jj = grid_.col_of(t);
-    for (int ii = 0; ii < pr; ++ii) {
-      const int d = grid_.device(ii, jj);
-      const Cx* in = wk[(std::size_t)t] + index_t(ii) * block;
-      Cx* out = sc[(std::size_t)d] + index_t(i) * pc * mg;
-      const std::string sfx = " " + std::to_string(t) + "->" + std::to_string(d);
-      const exec::TaskId pack = graph.submit(
-          "col-pack" + sfx, {lanes.compute(t), /*ordered=*/false, "a2a"},
-          [this, in, out, pg, mg, pc, pr, block] {
-            detail::a2a_pair_fused_strided(in, out, /*nr=*/pg, /*nc=*/mg, /*in_ld=*/pg,
-                                           /*out_ld=*/m_, /*batch=*/index_t(pc),
-                                           /*in_bstride=*/index_t(pr) * block,
-                                           /*out_bstride=*/mg, detail::A2aScope::Col);
-          },
-          {row_join[(std::size_t)t]});
-      arrived_col[(std::size_t)d].push_back(graph.submit(
-          "col-copy" + sfx, {lanes.copy(t, d), /*ordered=*/true, "a2a"},
-          [&fabric, t, d, pc, block, f32] {
-            fabric.record(t, d, double(pc) * double(block) * sizeof(Cx), "A2A-COL", f32);
-          },
-          {pack}));
-    }
-  }
-
-  // (d) Column FFTs and write-back, as in the slab path: the write-back
-  // also waits for every row pack still reading this device's slab (WAR).
-  std::vector<exec::TaskId> terminal((std::size_t)g_);
-  for (int r = 0; r < g_; ++r) {
-    const exec::TaskId join =
-        graph.submit("col-join d" + std::to_string(r),
-                     {lanes.compute(r), /*ordered=*/false, "sync"}, [] {},
-                     arrived_col[(std::size_t)r]);
-    std::vector<exec::TaskId> fftm;
-    const index_t stepm = (pg + nc - 1) / nc;
-    for (index_t c = 0; c < nc; ++c) {
-      const index_t lo = c * stepm, hi = std::min(pg, lo + stepm);
-      if (lo >= hi) break;
-      Cx* base = sc[(std::size_t)r] + lo * m_;
-      const index_t rows = hi - lo;
-      fftm.push_back(graph.submit(
-          "fftm d" + std::to_string(r) + " c" + std::to_string(c),
-          {lanes.compute(r), /*ordered=*/false, "fft"},
-          [this, base, rows] {
-            FMMFFT_SPAN("2DFFT-M");
-            plan_m_.execute_batched(base, rows, fft::Direction::Forward);
-          },
-          {join}));
-    }
-    std::vector<exec::TaskId> deps = fftm;
-    deps.insert(deps.end(), packs_row_from[(std::size_t)r].begin(),
-                packs_row_from[(std::size_t)r].end());
+    deps.insert(deps.end(), a2a.reads[(std::size_t)r].begin(), a2a.reads[(std::size_t)r].end());
     Cx* dst = slabs[(std::size_t)r];
     const Cx* src = sc[(std::size_t)r];
     terminal[(std::size_t)r] = graph.submit(

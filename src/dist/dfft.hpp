@@ -77,9 +77,11 @@ class Dist2dFft {
   void execute_slabs(const std::vector<std::complex<T>*>& slabs, sim::Fabric& fabric);
 
   /// Async building block: submit the whole 2D FFT as tasks on `graph` —
-  /// per-device row-FFT chunks, per-(pair,chunk) pack→copy→unpack for the
-  /// single all-to-all, then column-FFT chunks — so copies overlap
-  /// neighbouring FFT chunks exactly as dist::fft_schedule models.
+  /// per-device row-FFT chunks, the single all-to-all as per-(pair, chunk)
+  /// fused scatter (pack) + link accounting (copy) tasks — in pencil mode
+  /// its row phase, a per-device join and its column phase — then
+  /// column-FFT chunks and the slab write-back, so copies overlap
+  /// neighbouring FFT chunks as dist::dist2dfft_schedule models.
   /// `ready[r]` (optional) gates device r's first task; returns the
   /// per-device terminal task (slab writes complete when it finishes).
   std::vector<exec::TaskId> submit_slabs(exec::TaskGraph& graph,
@@ -95,11 +97,6 @@ class Dist2dFft {
 
  private:
   void execute_slabs_serial(const std::vector<std::complex<T>*>& slabs, sim::Fabric& fabric);
-  std::vector<exec::TaskId> submit_slabs_pencil(exec::TaskGraph& graph,
-                                                const exec::DeviceLanes& lanes,
-                                                const std::vector<std::complex<T>*>& slabs,
-                                                sim::Fabric& fabric,
-                                                const std::vector<exec::TaskId>& ready);
 
   index_t m_, p_;
   int g_;

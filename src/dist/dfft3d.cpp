@@ -10,18 +10,6 @@
 #include "obs/obs.hpp"
 
 namespace fmmfft::dist {
-namespace {
-
-template <typename T>
-std::vector<std::complex<T>*> ptrs(std::vector<Buffer<std::complex<T>>>& bufs) {
-  std::vector<std::complex<T>*> p;
-  p.reserve(bufs.size());
-  for (auto& b : bufs) p.push_back(b.data());
-  return p;
-}
-
-}  // namespace
-
 template <typename T>
 Dist3dFft<T>::Dist3dFft(index_t n0, index_t n1, index_t n2, int g, model::Decomp decomp,
                         model::GridShape grid)
@@ -94,8 +82,8 @@ void Dist3dFft<T>::gather(std::complex<T>* out) const {
 template <typename T>
 void Dist3dFft<T>::execute_slab_serial() {
   obs::health::PhaseSource hb("dist.3dfft.slab");
-  auto a = ptrs(buf_a_);
-  auto b = ptrs(buf_b_);
+  auto a = buffer_ptrs(buf_a_);
+  auto b = buffer_ptrs(buf_b_);
   const index_t n2g = n2_ / g_, plane = n0_ * n1_;
   {
     FMMFFT_SPAN("3DFFT-0");
@@ -122,7 +110,7 @@ void Dist3dFft<T>::execute_slab_serial() {
   }
   // The one G-wide exchange: Π_{M=n2, P=n0·n1} on the μ = i1 + n1·i0 index.
   hb.phase("a2a");
-  all_to_all_permute_mp(fabric_, b, a, n2_, plane, "A2A-3D");
+  exchange_permute_mp(b, a, n2_, plane, "A2A-3D").run(fabric_);
   {
     FMMFFT_SPAN("3DFFT-2");
     for (int r = 0; r < g_; ++r) {
@@ -134,13 +122,11 @@ void Dist3dFft<T>::execute_slab_serial() {
 
 template <typename T>
 void Dist3dFft<T>::execute_pencil_serial() {
-  using Cx = std::complex<T>;
   obs::health::PhaseSource hb("dist.3dfft.pencil");
-  auto a = ptrs(buf_a_);
-  auto b = ptrs(buf_b_);
+  auto a = buffer_ptrs(buf_a_);
+  auto b = buffer_ptrs(buf_b_);
   const int pr = grid_.pr, pc = grid_.pc;
   const index_t n0pc = n0_ / pc, n1pc = n1_ / pc, n1pr = n1_ / pr, n2pr = n2_ / pr;
-  const bool f32 = sizeof(T) == 4;
   {
     FMMFFT_SPAN("3DFFT-0");
     for (int d = 0; d < g_; ++d) {
@@ -149,27 +135,9 @@ void Dist3dFft<T>::execute_pencil_serial() {
     }
   }
   // Row sub-communicator exchange: x-pencils → y-pencils within each grid
-  // row. Pair (i,j) → (i,jj) ships i0-block jj for every local (i1, i2):
-  // per i2 plane this is exactly the Π_{n1,n0} fused pair message.
+  // row (per i2 plane exactly the Π_{n1,n0} fused pair message).
   hb.phase("a2a-row");
-  parallel_for(
-      index_t(g_) * pc,
-      [&](index_t q0, index_t q1) {
-        for (index_t q = q0; q < q1; ++q) {
-          const int s = int(q / pc), jj = int(q % pc);
-          const int i = grid_.row_of(s), j = grid_.col_of(s);
-          const int t = grid_.device(i, jj);
-          detail::a2a_pair_fused_strided(a[(std::size_t)s] + index_t(jj) * n0pc,
-                                         b[(std::size_t)t] + index_t(j) * n1pc,
-                                         /*nr=*/n0pc, /*nc=*/n1pc, /*in_ld=*/n0_,
-                                         /*out_ld=*/n1_, /*batch=*/n2pr,
-                                         /*in_bstride=*/n0_ * n1pc,
-                                         /*out_bstride=*/n1_ * n0pc, detail::A2aScope::Row);
-          fabric_.record(s, t, double(n2pr) * double(n0pc) * double(n1pc) * sizeof(Cx),
-                         "A2A-ROW", f32);
-        }
-      },
-      /*grain=*/1);
+  exchange_pencil3d_row(a, b, n0_, n1_, n2_, grid_).run(fabric_);
   {
     FMMFFT_SPAN("3DFFT-1");
     for (int d = 0; d < g_; ++d) {
@@ -178,28 +146,9 @@ void Dist3dFft<T>::execute_pencil_serial() {
     }
   }
   // Column sub-communicator exchange: y-pencils → z-pencils within each
-  // grid column. Pair (i,jj) → (ii,jj) ships i1-block ii for every local
-  // (i0, i2), transposing (i1, i2) per i0 line.
+  // grid column.
   hb.phase("a2a-col");
-  parallel_for(
-      index_t(g_) * pr,
-      [&](index_t q0, index_t q1) {
-        for (index_t q = q0; q < q1; ++q) {
-          const int t = int(q / pr), ii = int(q % pr);
-          const int i = grid_.row_of(t);
-          const int jj = grid_.col_of(t);
-          const int d = grid_.device(ii, jj);
-          detail::a2a_pair_fused_strided(b[(std::size_t)t] + index_t(ii) * n1pr,
-                                         a[(std::size_t)d] + index_t(i) * n2pr,
-                                         /*nr=*/n1pr, /*nc=*/n2pr, /*in_ld=*/n1_ * n0pc,
-                                         /*out_ld=*/n2_, /*batch=*/n0pc,
-                                         /*in_bstride=*/n1_,
-                                         /*out_bstride=*/n2_ * n1pr, detail::A2aScope::Col);
-          fabric_.record(t, d, double(n0pc) * double(n1pr) * double(n2pr) * sizeof(Cx),
-                         "A2A-COL", f32);
-        }
-      },
-      /*grain=*/1);
+  exchange_pencil3d_col(b, a, n0_, n1_, n2_, grid_).run(fabric_);
   {
     FMMFFT_SPAN("3DFFT-2");
     for (int d = 0; d < g_; ++d) {
@@ -216,18 +165,16 @@ template <typename T>
 std::vector<exec::TaskId> Dist3dFft<T>::submit_slab(exec::TaskGraph& graph,
                                                     const exec::DeviceLanes& lanes) {
   using Cx = std::complex<T>;
-  auto a = ptrs(buf_a_);
-  auto b = ptrs(buf_b_);
+  auto a = buffer_ptrs(buf_a_);
+  auto b = buffer_ptrs(buf_b_);
   const index_t n2g = n2_ / g_, plane = n0_ * n1_, pg01 = plane / g_;
   const index_t nc = std::min<index_t>(std::max<index_t>(2, g_), n2g);
-  const index_t step = (n2g + nc - 1) / nc;
-  const bool f32 = sizeof(T) == 4;
 
   // Per-chunk fft0 → reorient → fft1 over each device's local i2 planes.
   std::vector<std::vector<exec::TaskId>> fft1((std::size_t)g_), trans((std::size_t)g_);
   for (int r = 0; r < g_; ++r)
     for (index_t c = 0; c < nc; ++c) {
-      const index_t lo = c * step, hi = std::min(n2g, lo + step);
+      const auto [lo, hi] = chunk_range(n2g, nc, c);
       if (lo >= hi) break;
       Cx* ap = a[(std::size_t)r] + lo * plane;
       Cx* bp = b[(std::size_t)r] + lo * plane;
@@ -278,30 +225,10 @@ std::vector<exec::TaskId> Dist3dFft<T>::submit_slab(exec::TaskGraph& graph,
   // chunk's fused scatter waits only on the fft1 chunk that produced its
   // planes (plus the receiver's WAR gate); the pair's link lane carries
   // the accounting task.
-  std::vector<std::vector<exec::TaskId>> arrived((std::size_t)g_);
-  for (int r = 0; r < g_; ++r)
-    for (int rr = 0; rr < g_; ++rr)
-      for (index_t c = 0; c < nc; ++c) {
-        const index_t lo = c * step, hi = std::min(n2g, lo + step);
-        if (lo >= hi) break;
-        const Cx* in = b[(std::size_t)r];
-        Cx* out = a[(std::size_t)rr];
-        const index_t cnt = (hi - lo) * pg01;
-        const std::string sfx =
-            " " + std::to_string(r) + "->" + std::to_string(rr) + " c" + std::to_string(c);
-        const exec::TaskId pack = graph.submit(
-            "pack" + sfx, {lanes.compute(r), /*ordered=*/false, "a2a"},
-            [this, in, out, r, rr, lo, hi, n2g, pg01, plane] {
-              detail::a2a_pair_fused(in, out, r, rr, n2_, plane, n2g, pg01, lo, hi);
-            },
-            {fft1[(std::size_t)r][(std::size_t)c], war[(std::size_t)rr]});
-        arrived[(std::size_t)rr].push_back(graph.submit(
-            "copy" + sfx, {lanes.copy(r, rr), /*ordered=*/true, "a2a"},
-            [this, r, rr, cnt, f32] {
-              fabric_.record(r, rr, double(cnt) * sizeof(Cx), "A2A-3D", f32);
-            },
-            {pack}));
-      }
+  const auto a2a = exchange_permute_mp(b, a, n2_, plane, "A2A-3D", nc)
+                       .submit(graph, lanes, fabric_,
+                               [&](int r, int c) { return fft1[(std::size_t)r][(std::size_t)c]; },
+                               war);
 
   // fft2 per device once its whole z slab has arrived.
   std::vector<exec::TaskId> terminal((std::size_t)g_);
@@ -309,11 +236,10 @@ std::vector<exec::TaskId> Dist3dFft<T>::submit_slab(exec::TaskGraph& graph,
     const exec::TaskId join =
         graph.submit("a2a-join d" + std::to_string(r),
                      {lanes.compute(r), /*ordered=*/false, "sync"}, [] {},
-                     arrived[(std::size_t)r]);
+                     a2a.arrived[(std::size_t)r]);
     std::vector<exec::TaskId> fft2;
-    const index_t step2 = (pg01 + nc - 1) / nc;
     for (index_t c = 0; c < nc; ++c) {
-      const index_t lo = c * step2, hi = std::min(pg01, lo + step2);
+      const auto [lo, hi] = chunk_range(pg01, nc, c);
       if (lo >= hi) break;
       Cx* base = a[(std::size_t)r] + lo * n2_;
       const index_t lines = hi - lo;
@@ -337,19 +263,17 @@ template <typename T>
 std::vector<exec::TaskId> Dist3dFft<T>::submit_pencil(exec::TaskGraph& graph,
                                                       const exec::DeviceLanes& lanes) {
   using Cx = std::complex<T>;
-  auto a = ptrs(buf_a_);
-  auto b = ptrs(buf_b_);
+  auto a = buffer_ptrs(buf_a_);
+  auto b = buffer_ptrs(buf_b_);
   const int pr = grid_.pr, pc = grid_.pc;
   const index_t n0pc = n0_ / pc, n1pc = n1_ / pc, n1pr = n1_ / pr, n2pr = n2_ / pr;
   const index_t nc = std::min<index_t>(std::max<index_t>(2, g_), n2pr);
-  const index_t step = (n2pr + nc - 1) / nc;
-  const bool f32 = sizeof(T) == 4;
 
   // (a) fft0 chunks over local i2 planes of the x-pencils.
   std::vector<std::vector<exec::TaskId>> fft0((std::size_t)g_);
   for (int d = 0; d < g_; ++d)
     for (index_t c = 0; c < nc; ++c) {
-      const index_t lo = c * step, hi = std::min(n2pr, lo + step);
+      const auto [lo, hi] = chunk_range(n2pr, nc, c);
       if (lo >= hi) break;
       Cx* base = a[(std::size_t)d] + lo * n0_ * n1pc;
       const index_t planes = hi - lo;
@@ -365,55 +289,23 @@ std::vector<exec::TaskId> Dist3dFft<T>::submit_pencil(exec::TaskGraph& graph,
 
   // (b) Row-phase packs, chunked over the same i2 planes so a pair's first
   // chunks ship while the sender's remaining fft0 chunks still run.
-  std::vector<std::vector<exec::TaskId>> arrived_row((std::size_t)g_);
-  std::vector<std::vector<exec::TaskId>> packs_row_from((std::size_t)g_);
-  for (int s = 0; s < g_; ++s) {
-    const int i = grid_.row_of(s), j = grid_.col_of(s);
-    for (int jj = 0; jj < pc; ++jj) {
-      const int t = grid_.device(i, jj);
-      for (index_t c = 0; c < nc; ++c) {
-        const index_t lo = c * step, hi = std::min(n2pr, lo + step);
-        if (lo >= hi) break;
-        const Cx* in = a[(std::size_t)s] + index_t(jj) * n0pc + lo * n0_ * n1pc;
-        Cx* out = b[(std::size_t)t] + index_t(j) * n1pc + lo * n1_ * n0pc;
-        const index_t planes = hi - lo;
-        const std::string sfx =
-            " " + std::to_string(s) + "->" + std::to_string(t) + " c" + std::to_string(c);
-        const exec::TaskId pack = graph.submit(
-            "row-pack" + sfx, {lanes.compute(s), /*ordered=*/false, "a2a"},
-            [this, in, out, planes, n0pc, n1pc] {
-              detail::a2a_pair_fused_strided(in, out, /*nr=*/n0pc, /*nc=*/n1pc,
-                                             /*in_ld=*/n0_, /*out_ld=*/n1_, /*batch=*/planes,
-                                             /*in_bstride=*/n0_ * n1pc,
-                                             /*out_bstride=*/n1_ * n0pc,
-                                             detail::A2aScope::Row);
-            },
-            {fft0[(std::size_t)s][(std::size_t)c]});
-        packs_row_from[(std::size_t)s].push_back(pack);
-        arrived_row[(std::size_t)t].push_back(graph.submit(
-            "row-copy" + sfx, {lanes.copy(s, t), /*ordered=*/true, "a2a"},
-            [this, s, t, planes, n0pc, n1pc, f32] {
-              fabric_.record(s, t, double(planes) * double(n0pc) * double(n1pc) * sizeof(Cx),
-                             "A2A-ROW", f32);
-            },
-            {pack}));
-      }
-    }
-  }
+  const auto row = exchange_pencil3d_row(a, b, n0_, n1_, n2_, grid_, nc)
+                       .submit(graph, lanes, fabric_, [&](int s, int c) {
+                         return fft0[(std::size_t)s][(std::size_t)c];
+                       });
 
   // (c) fft1 chunks on the y-pencils once every row fragment arrived, plus
   // the WAR gate for the column phase scattering back into the A buffers.
   std::vector<exec::TaskId> fft1_join((std::size_t)g_), war((std::size_t)g_);
   const index_t lines1 = n0pc * n2pr;
-  const index_t step1 = (lines1 + nc - 1) / nc;
   for (int d = 0; d < g_; ++d) {
     const exec::TaskId row_join =
         graph.submit("row-join d" + std::to_string(d),
                      {lanes.compute(d), /*ordered=*/false, "sync"}, [] {},
-                     arrived_row[(std::size_t)d]);
+                     row.arrived[(std::size_t)d]);
     std::vector<exec::TaskId> fft1;
     for (index_t c = 0; c < nc; ++c) {
-      const index_t lo = c * step1, hi = std::min(lines1, lo + step1);
+      const auto [lo, hi] = chunk_range(lines1, nc, c);
       if (lo >= hi) break;
       Cx* base = b[(std::size_t)d] + lo * n1_;
       const index_t lines = hi - lo;
@@ -431,51 +323,27 @@ std::vector<exec::TaskId> Dist3dFft<T>::submit_pencil(exec::TaskGraph& graph,
                      {lanes.compute(d), /*ordered=*/false, "sync"}, [] {}, std::move(fft1));
     war[(std::size_t)d] = graph.submit("row-read-done d" + std::to_string(d),
                                        {lanes.compute(d), /*ordered=*/false, "sync"}, [] {},
-                                       packs_row_from[(std::size_t)d]);
+                                       row.reads[(std::size_t)d]);
   }
 
   // (d) Column-phase packs: one fused pair message (i,jj) → (ii,jj); the
   // column transpose reads i0-strided lines of the whole y-pencil, so it
   // waits on the sender's fft1 join and the receiver's WAR gate.
-  std::vector<std::vector<exec::TaskId>> arrived_col((std::size_t)g_);
-  for (int t = 0; t < g_; ++t) {
-    const int i = grid_.row_of(t), jj = grid_.col_of(t);
-    for (int ii = 0; ii < pr; ++ii) {
-      const int d = grid_.device(ii, jj);
-      const Cx* in = b[(std::size_t)t] + index_t(ii) * n1pr;
-      Cx* out = a[(std::size_t)d] + index_t(i) * n2pr;
-      const std::string sfx = " " + std::to_string(t) + "->" + std::to_string(d);
-      const exec::TaskId pack = graph.submit(
-          "col-pack" + sfx, {lanes.compute(t), /*ordered=*/false, "a2a"},
-          [this, in, out, n0pc, n1pr, n2pr] {
-            detail::a2a_pair_fused_strided(in, out, /*nr=*/n1pr, /*nc=*/n2pr,
-                                           /*in_ld=*/n1_ * n0pc, /*out_ld=*/n2_,
-                                           /*batch=*/n0pc, /*in_bstride=*/n1_,
-                                           /*out_bstride=*/n2_ * n1pr, detail::A2aScope::Col);
-          },
-          {fft1_join[(std::size_t)t], war[(std::size_t)d]});
-      arrived_col[(std::size_t)d].push_back(graph.submit(
-          "col-copy" + sfx, {lanes.copy(t, d), /*ordered=*/true, "a2a"},
-          [this, t, d, n0pc, n1pr, n2pr, f32] {
-            fabric_.record(t, d, double(n0pc) * double(n1pr) * double(n2pr) * sizeof(Cx),
-                           "A2A-COL", f32);
-          },
-          {pack}));
-    }
-  }
+  const auto col = exchange_pencil3d_col(b, a, n0_, n1_, n2_, grid_)
+                       .submit(graph, lanes, fabric_,
+                               [&](int t, int) { return fft1_join[(std::size_t)t]; }, war);
 
   // (e) fft2 chunks on the z-pencils.
   std::vector<exec::TaskId> terminal((std::size_t)g_);
   const index_t lines2 = n0pc * n1pr;
-  const index_t step2 = (lines2 + nc - 1) / nc;
   for (int d = 0; d < g_; ++d) {
     const exec::TaskId join =
         graph.submit("col-join d" + std::to_string(d),
                      {lanes.compute(d), /*ordered=*/false, "sync"}, [] {},
-                     arrived_col[(std::size_t)d]);
+                     col.arrived[(std::size_t)d]);
     std::vector<exec::TaskId> fft2;
     for (index_t c = 0; c < nc; ++c) {
-      const index_t lo = c * step2, hi = std::min(lines2, lo + step2);
+      const auto [lo, hi] = chunk_range(lines2, nc, c);
       if (lo >= hi) break;
       Cx* base = a[(std::size_t)d] + lo * n2_;
       const index_t lines = hi - lo;

@@ -39,59 +39,6 @@ DistFmmFft<InT>::DistFmmFft(const fmm::Params& prm, int g, fmm::Precision prec)
 
 template <typename InT>
 template <typename ER>
-void DistFmmFft<InT>::exchange_source_halos_t() {
-  // COMM S: one leaf box to each neighbour, cyclic (§4.2).
-  auto& es = eset<ER>();
-  const index_t elems = es[0]->source_box_elems();
-  const index_t nb = es[0]->local_leaves();
-  std::vector<const ER*> lo_src, hi_src;
-  std::vector<ER*> lo_dst, hi_dst;
-  for (auto& e : es) {
-    lo_src.push_back(e->source_box(0));
-    hi_src.push_back(e->source_box(nb - 1));
-    lo_dst.push_back(e->source_box(-1));
-    hi_dst.push_back(e->source_box(nb));
-  }
-  halo_exchange_ring(fabric_, lo_src, hi_src, lo_dst, hi_dst, elems, "COMM-S");
-}
-
-template <typename InT>
-template <typename ER>
-void DistFmmFft<InT>::exchange_multipole_halos_t(int level) {
-  // COMM Mℓ: two boxes to each neighbour (§4.2).
-  auto& es = eset<ER>();
-  const index_t elems = 2 * es[0]->expansion_box_elems();
-  const index_t nbl = es[0]->local_boxes(level);
-  std::vector<const ER*> lo_src, hi_src;
-  std::vector<ER*> lo_dst, hi_dst;
-  for (auto& e : es) {
-    lo_src.push_back(e->multipole_box(level, 0));
-    hi_src.push_back(e->multipole_box(level, nbl - 2));
-    lo_dst.push_back(e->multipole_box(level, -2));
-    hi_dst.push_back(e->multipole_box(level, nbl));
-  }
-  halo_exchange_ring(fabric_, lo_src, hi_src, lo_dst, hi_dst, elems,
-                     "COMM-M" + std::to_string(level));
-}
-
-template <typename InT>
-template <typename ER>
-void DistFmmFft<InT>::allgather_base_t() {
-  // COMM M_B: all-to-all gather of the base-level multipoles (§4.7).
-  auto& es = eset<ER>();
-  const index_t slab = es[0]->local_boxes(prm_.b) * es[0]->expansion_box_elems();
-  std::vector<const ER*> src;
-  std::vector<ER*> dst;
-  for (int r = 0; r < g_; ++r) {
-    src.push_back(es[(std::size_t)r]->multipole_box(prm_.b,
-                                                    es[(std::size_t)r]->box_offset(prm_.b)));
-    dst.push_back(es[(std::size_t)r]->multipole_box(prm_.b, 0));
-  }
-  allgather(fabric_, src, dst, slab, "COMM-MB");
-}
-
-template <typename InT>
-template <typename ER>
 void DistFmmFft<InT>::post_slab_t(int r) {
   // POST fused with the 2D-FFT load (§4.9 line 15): slab element
   // n = p + P·mg with mg in rank r's range. Rows are independent
@@ -153,6 +100,54 @@ void load_slab(fmm::Engine<ER>& e, const InT* src, index_t slab_n) {
   }
 }
 
+template <typename ER>
+using Engines = std::vector<std::unique_ptr<fmm::Engine<ER>>>;
+
+/// Cyclic halo of `width` boxes on each side of every engine's `nb`
+/// interior boxes; box(e, k) addresses box k of engine e.
+template <typename ER, typename Box>
+Exchange<ER> halo_ring(const Engines<ER>& es, index_t nb, index_t width, index_t elems, Box box,
+                       const std::string& tag) {
+  std::vector<const ER*> lo_src, hi_src;
+  std::vector<ER*> lo_dst, hi_dst;
+  for (auto& e : es) {
+    lo_src.push_back(box(*e, 0));
+    hi_src.push_back(box(*e, nb - width));
+    lo_dst.push_back(box(*e, -width));
+    hi_dst.push_back(box(*e, nb));
+  }
+  return exchange_halo_ring(lo_src, hi_src, lo_dst, hi_dst, elems, tag);
+}
+
+/// COMM S: one leaf box to each neighbour, cyclic (§4.2).
+template <typename ER>
+Exchange<ER> source_halos(const Engines<ER>& es) {
+  return halo_ring(es, es[0]->local_leaves(), 1, es[0]->source_box_elems(),
+                   [](fmm::Engine<ER>& e, index_t k) { return e.source_box(k); }, "COMM-S");
+}
+
+/// COMM Mℓ: two expansion boxes of level ℓ to each neighbour (§4.2).
+template <typename ER>
+Exchange<ER> multipole_halos(const Engines<ER>& es, int level) {
+  return halo_ring(es, es[0]->local_boxes(level), 2, 2 * es[0]->expansion_box_elems(),
+                   [level](fmm::Engine<ER>& e, index_t k) { return e.multipole_box(level, k); },
+                   "COMM-M" + std::to_string(level));
+}
+
+/// COMM M_B: allgather of the base-level multipoles (§4.7); each engine's
+/// own slab already sits in place in its full base level.
+template <typename ER>
+Exchange<ER> base_allgather(const Engines<ER>& es, int base) {
+  std::vector<const ER*> src;
+  std::vector<ER*> dst;
+  for (auto& e : es) {
+    src.push_back(e->multipole_box(base, e->box_offset(base)));
+    dst.push_back(e->multipole_box(base, 0));
+  }
+  return exchange_allgather(src, dst, es[0]->local_boxes(base) * es[0]->expansion_box_elems(),
+                            "COMM-MB");
+}
+
 }  // namespace detail
 
 template <typename InT>
@@ -202,7 +197,7 @@ void DistFmmFft<InT>::execute_serial_t(const InT* in, Out* out) {
       es[(std::size_t)r]->s2m();
     }
     hb.phase("halo-s");
-    exchange_source_halos_t<ER>();
+    detail::source_halos(es).run(fabric_);
     for (int r = 0; r < g_; ++r) {
       hb.phase("s2t", r);
       es[(std::size_t)r]->s2t();
@@ -214,14 +209,14 @@ void DistFmmFft<InT>::execute_serial_t(const InT* in, Out* out) {
       }
     for (int lev = l; lev > b; --lev) {
       hb.phase("halo-m");
-      exchange_multipole_halos_t<ER>(lev);
+      detail::multipole_halos(es, lev).run(fabric_);
       for (int r = 0; r < g_; ++r) {
         hb.phase("m2l", r);
         es[(std::size_t)r]->m2l_level(lev);
       }
     }
     hb.phase("allgather");
-    allgather_base_t<ER>();
+    detail::base_allgather(es, b).run(fabric_);
     for (int r = 0; r < g_; ++r) {
       hb.phase("m2l_base", r);
       es[(std::size_t)r]->m2l_base();
@@ -250,8 +245,7 @@ void DistFmmFft<InT>::execute_serial_t(const InT* in, Out* out) {
   {
     FMMFFT_SPAN("FFT-2D");
     hb.phase("fft2d");
-    std::vector<Out*> sp;
-    for (auto& s : slabs_) sp.push_back(s.data());
+    auto sp = buffer_ptrs(slabs_);
     fft2d_.execute_slabs(sp, fabric_);
     for (int r = 0; r < g_; ++r) {
       hb.phase("writeback", r);
@@ -293,29 +287,8 @@ void DistFmmFft<InT>::execute_async_t(const InT* in, Out* out) {
 
   // COMM-S rides the link lanes while S2M runs: the halo boxes it writes
   // are disjoint from the interior S2M reads.
-  const index_t nb = es[0]->local_leaves();
-  const index_t selems = es[0]->source_box_elems();
-  std::vector<std::vector<exec::TaskId>> s_arrive((std::size_t)g_);
-  for (int r = 0; r < g_; ++r) {
-    const int left = (r + g_ - 1) % g_, right = (r + 1) % g_;
-    auto* el = es[(std::size_t)left].get();
-    auto* er = es[(std::size_t)r].get();
-    auto* eg = es[(std::size_t)right].get();
-    s_arrive[(std::size_t)r].push_back(graph.submit(
-        "comm-s " + std::to_string(left) + "->" + std::to_string(r),
-        {lanes.copy(left, r), /*ordered=*/true, "sync"},
-        [this, el, er, left, r, nb, selems] {
-          fabric_.send(left, r, el->source_box(nb - 1), er->source_box(-1), selems, "COMM-S");
-        },
-        {load[(std::size_t)left]}));
-    s_arrive[(std::size_t)r].push_back(graph.submit(
-        "comm-s " + std::to_string(right) + "->" + std::to_string(r),
-        {lanes.copy(right, r), /*ordered=*/true, "sync"},
-        [this, eg, er, right, r, nb, selems] {
-          fabric_.send(right, r, eg->source_box(0), er->source_box(nb), selems, "COMM-S");
-        },
-        {load[(std::size_t)right]}));
-  }
+  const auto s_arrive = detail::source_halos(es).submit(
+      graph, lanes, fabric_, [&](int r, int) { return load[(std::size_t)r]; });
 
   std::vector<exec::TaskId> s2m_id((std::size_t)g_);
   for (int r = 0; r < g_; ++r) {
@@ -326,7 +299,7 @@ void DistFmmFft<InT>::execute_async_t(const InT* in, Out* out) {
   for (int r = 0; r < g_; ++r) {
     auto* e = es[(std::size_t)r].get();
     graph.submit(dev("s2t", r), {lanes.compute(r), /*ordered=*/true, "fmm"}, [e] { e->s2t(); },
-                 s_arrive[(std::size_t)r]);
+                 s_arrive.arrived[(std::size_t)r]);
   }
 
   // M2M up-sweep; remember which task last wrote each multipole level so
@@ -347,63 +320,24 @@ void DistFmmFft<InT>::execute_async_t(const InT* in, Out* out) {
   };
 
   // COMM-M per level, then the level's M2L once both halves arrived.
-  std::vector<std::vector<exec::TaskId>> m_arrive((std::size_t)g_);
-  const index_t eelems = 2 * es[0]->expansion_box_elems();
   for (int lev = l; lev > b; --lev) {
-    for (int r = 0; r < g_; ++r) m_arrive[(std::size_t)r].clear();
-    for (int r = 0; r < g_; ++r) {
-      const int left = (r + g_ - 1) % g_, right = (r + 1) % g_;
-      const index_t nbl = es[0]->local_boxes(lev);
-      const std::string tag = "COMM-M" + std::to_string(lev);
-      auto* el = es[(std::size_t)left].get();
-      auto* er = es[(std::size_t)r].get();
-      auto* eg = es[(std::size_t)right].get();
-      m_arrive[(std::size_t)r].push_back(graph.submit(
-          "comm-m" + std::to_string(lev) + " " + std::to_string(left) + "->" + std::to_string(r),
-          {lanes.copy(left, r), /*ordered=*/true, "sync"},
-          [this, el, er, left, r, lev, nbl, eelems, tag] {
-            fabric_.send(left, r, el->multipole_box(lev, nbl - 2),
-                         er->multipole_box(lev, -2), eelems, tag);
-          },
-          {level_writer(left, lev)}));
-      m_arrive[(std::size_t)r].push_back(graph.submit(
-          "comm-m" + std::to_string(lev) + " " + std::to_string(right) + "->" + std::to_string(r),
-          {lanes.copy(right, r), /*ordered=*/true, "sync"},
-          [this, eg, er, right, r, lev, nbl, eelems, tag] {
-            fabric_.send(right, r, eg->multipole_box(lev, 0),
-                         er->multipole_box(lev, nbl), eelems, tag);
-          },
-          {level_writer(right, lev)}));
-    }
+    const auto m_arrive = detail::multipole_halos(es, lev).submit(
+        graph, lanes, fabric_, [&](int r, int) { return level_writer(r, lev); });
     for (int r = 0; r < g_; ++r) {
       auto* e = es[(std::size_t)r].get();
       graph.submit(dev("m2l-" + std::to_string(lev), r),
                    {lanes.compute(r), /*ordered=*/true, "fmm"}, [e, lev] { e->m2l_level(lev); },
-                   m_arrive[(std::size_t)r]);
+                   m_arrive.arrived[(std::size_t)r]);
     }
   }
 
   // COMM-MB allgather (self-slab is already in place), then base M2L.
-  const index_t bslab = es[0]->local_boxes(b) * es[0]->expansion_box_elems();
-  std::vector<std::vector<exec::TaskId>> g_arrive((std::size_t)g_);
-  for (int r = 0; r < g_; ++r)
-    for (int rr = 0; rr < g_; ++rr) {
-      if (r == rr) continue;
-      auto* esrc = es[(std::size_t)r].get();
-      auto* edst = es[(std::size_t)rr].get();
-      g_arrive[(std::size_t)rr].push_back(graph.submit(
-          "comm-mb " + std::to_string(r) + "->" + std::to_string(rr),
-          {lanes.copy(r, rr), /*ordered=*/true, "sync"},
-          [this, esrc, edst, r, rr, bslab] {
-            fabric_.send(r, rr, esrc->multipole_box(prm_.b, esrc->box_offset(prm_.b)),
-                         edst->multipole_box(prm_.b, 0) + r * bslab, bslab, "COMM-MB");
-          },
-          {level_writer(r, b)}));
-    }
+  const auto g_arrive = detail::base_allgather(es, b).submit(
+      graph, lanes, fabric_, [&](int r, int) { return level_writer(r, b); });
   for (int r = 0; r < g_; ++r) {
     auto* e = es[(std::size_t)r].get();
     graph.submit(dev("m2l-b", r), {lanes.compute(r), /*ordered=*/true, "fmm"},
-                 [e] { e->m2l_base(); }, g_arrive[(std::size_t)r]);
+                 [e] { e->m2l_base(); }, g_arrive.arrived[(std::size_t)r]);
     graph.submit(dev("reduce", r), {lanes.compute(r), /*ordered=*/true, "fmm"},
                  [e] { e->reduce(); });
   }
@@ -423,8 +357,7 @@ void DistFmmFft<InT>::execute_async_t(const InT* in, Out* out) {
 
   // Distributed 2D FFT rides the same graph; each device's slab store waits
   // only for that device's write-back.
-  std::vector<Out*> sp;
-  for (auto& s : slabs_) sp.push_back(s.data());
+  auto sp = buffer_ptrs(slabs_);
   const std::vector<exec::TaskId> terminal = fft2d_.submit_slabs(graph, lanes, sp, fabric_, post);
   for (int r = 0; r < g_; ++r) {
     Out* dst = out + r * slab_n;

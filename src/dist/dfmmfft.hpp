@@ -78,12 +78,6 @@ class DistFmmFft {
   /// into the 2D-FFT slab, widening to the shell precision on load.
   template <typename ER>
   void post_slab_t(int r);
-  template <typename ER>
-  void exchange_source_halos_t();
-  template <typename ER>
-  void exchange_multipole_halos_t(int level);
-  template <typename ER>
-  void allgather_base_t();
 
   fmm::Params prm_;
   int g_;

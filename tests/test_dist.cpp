@@ -7,6 +7,7 @@
 #include <complex>
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/math.hpp"
@@ -114,7 +115,8 @@ TEST(Collectives, GridTwoPhaseMatchesOnePhaseBitIdentical) {
       w.push_back(wk.data() + r * slab);
     }
     all_to_all_permute_mp(fab_one, in, o1, m, p, "A2A-2D");
-    all_to_all_permute_mp_grid(fab_two, in, o2, w, m, p, c.grid);
+    exchange_pencil2d_row(in, w, m, p, c.grid).run(fab_two);
+    exchange_pencil2d_col(w, o2, m, p, c.grid).run(fab_two);
     EXPECT_EQ(y1, y2) << "g=" << g << " grid=" << c.grid.pr << "x" << c.grid.pc;
     const double n = double(m * p);
     EXPECT_DOUBLE_EQ(fab_two.bytes_with_tag("A2A-ROW"),
@@ -147,7 +149,7 @@ TEST(Collectives, HaloExchangeRing) {
     lo_dst.push_back(lo[(std::size_t)r].data());
     hi_dst.push_back(hi[(std::size_t)r].data());
   }
-  halo_exchange_ring(fabric, lo_src, hi_src, lo_dst, hi_dst, h, "halo");
+  exchange_halo_ring(lo_src, hi_src, lo_dst, hi_dst, h, "halo").run(fabric);
   for (int r = 0; r < g; ++r) {
     const int left = (r + g - 1) % g, right = (r + 1) % g;
     for (index_t k = 0; k < h; ++k) {
@@ -171,12 +173,237 @@ TEST(Collectives, Allgather) {
     sp.push_back(src[(std::size_t)r].data());
     dp.push_back(dst[(std::size_t)r].data());
   }
-  allgather(fabric, sp, dp, slab, "ag");
+  exchange_allgather(sp, dp, slab, "ag").run(fabric);
   for (int r = 0; r < g; ++r)
     for (int rr = 0; rr < g; ++rr)
       for (index_t k = 0; k < slab; ++k)
         EXPECT_EQ(dst[(std::size_t)r][(std::size_t)(rr * slab + k)], rr * 10.0 + k);
   EXPECT_DOUBLE_EQ(fabric.total_bytes(), g * (g - 1.0) * slab * sizeof(double));
+}
+
+// Every exchange builder, executed three ways on the same input: Exchange::run
+// (the serial drivers), Exchange::submit + TaskGraph::run (the async
+// drivers), and an independent oracle — the staged all-to-all for the
+// Π_{M,P} builders, the x→z pencil index map for the 3D pencil pair. All
+// three must agree byte for byte, and run and submit must put the same
+// bytes on every (src, dst) link.
+enum class Builder { OnePhase, Pencil2d, Pencil3d };
+
+struct ExchangeCase {
+  Builder builder;
+  int g;
+  ProcGrid grid;
+  index_t chunks;
+};
+
+std::vector<ExchangeCase> exchange_cases() {
+  std::vector<ExchangeCase> cases;
+  for (int g : {1, 2, 4, 8}) {
+    std::vector<ProcGrid> grids{{1, g}};
+    if (g == 4) grids.push_back({2, 2});
+    if (g == 8) grids.push_back({2, 4});
+    std::vector<index_t> chunk_counts{1, 2};
+    if (g > 2) chunk_counts.push_back(g);
+    for (index_t chunks : chunk_counts) {
+      cases.push_back({Builder::OnePhase, g, {1, g}, chunks});
+      for (const ProcGrid& grid : grids) {
+        cases.push_back({Builder::Pencil2d, g, grid, chunks});
+        cases.push_back({Builder::Pencil3d, g, grid, chunks});
+      }
+    }
+  }
+  return cases;
+}
+
+std::string exchange_case_name(const ::testing::TestParamInfo<ExchangeCase>& info) {
+  const ExchangeCase& c = info.param;
+  const char* kind = c.builder == Builder::OnePhase   ? "onephase"
+                     : c.builder == Builder::Pencil2d ? "pencil2d"
+                                                      : "pencil3d";
+  std::string name = std::string(kind) + "_g" + std::to_string(c.g);
+  if (c.builder != Builder::OnePhase)
+    name += "_" + std::to_string(c.grid.pr) + "x" + std::to_string(c.grid.pc);
+  return name + "_c" + std::to_string(c.chunks);
+}
+
+template <typename T>
+std::vector<T*> slab_ptrs(std::vector<T>& v, int g) {
+  std::vector<T*> s;
+  for (int r = 0; r < g; ++r) s.push_back(v.data() + r * (index_t(v.size()) / g));
+  return s;
+}
+
+template <typename T>
+void check_exchange_paths(const ExchangeCase& c) {
+  const int g = c.g;
+  const index_t m = 32, p = 16;           // Π_{M,P}: G | M and G | P up to G = 8
+  const index_t n0 = 16, n1 = 8, n2 = 8;  // 3D: pc | n0, n1 and pr | n1, n2
+  const index_t n = c.builder == Builder::Pencil3d ? n0 * n1 * n2 : m * p;
+  std::vector<T> x((std::size_t)n), expect((std::size_t)n, T(-3));
+  fill_uniform(x.data(), n, 70 + g + index_t(c.chunks));
+  auto in = slab_ptrs(x, g);
+  // The case's exchange phases, in order, into `out` (via `work`).
+  auto phases = [&](std::vector<T>& work, std::vector<T>& out) -> std::vector<Exchange<T>> {
+    auto w = slab_ptrs(work, g), o = slab_ptrs(out, g);
+    switch (c.builder) {
+      case Builder::OnePhase:
+        return {exchange_permute_mp(in, o, m, p, "A2A-X", c.chunks)};
+      case Builder::Pencil2d:
+        return {exchange_pencil2d_row(in, w, m, p, c.grid, c.chunks),
+                exchange_pencil2d_col(w, o, m, p, c.grid)};
+      case Builder::Pencil3d:
+        return {exchange_pencil3d_row(in, w, n0, n1, n2, c.grid, c.chunks),
+                exchange_pencil3d_col(w, o, n0, n1, n2, c.grid)};
+    }
+    return {};
+  };
+
+  // (1) run.
+  sim::Fabric f_run(g);
+  std::vector<T> w_run((std::size_t)n), y_run((std::size_t)n, T(-1));
+  for (const auto& phase : phases(w_run, y_run)) phase.run(f_run);
+
+  // (2) submit + TaskGraph::run, gated like the drivers: the first phase on
+  // per-(device, chunk) producers, a later one on a per-device join.
+  sim::Fabric f_sub(g);
+  std::vector<T> w_sub((std::size_t)n), y_sub((std::size_t)n, T(-2));
+  exec::DeviceLanes lanes(g);
+  exec::TaskGraph graph(lanes.count());
+  std::vector<std::vector<exec::TaskId>> produced((std::size_t)g);
+  for (int r = 0; r < g; ++r)
+    for (index_t k = 0; k < c.chunks; ++k)
+      produced[(std::size_t)r].push_back(
+          graph.submit("produce", {lanes.compute(r), /*ordered=*/false, "fft"}, [] {}));
+  std::vector<exec::TaskId> join;
+  for (const auto& phase : phases(w_sub, y_sub)) {
+    const auto tasks =
+        join.empty()
+            ? phase.submit(graph, lanes, f_sub,
+                           [&](int r, int k) { return produced[(std::size_t)r][(std::size_t)k]; })
+            : phase.submit(graph, lanes, f_sub, [&](int r, int) { return join[(std::size_t)r]; });
+    join.resize((std::size_t)g);
+    for (int r = 0; r < g; ++r)
+      join[(std::size_t)r] = graph.submit("join", {lanes.compute(r), /*ordered=*/false, "sync"},
+                                          [] {}, tasks.arrived[(std::size_t)r]);
+  }
+  graph.run();
+
+  // (3) oracle.
+  sim::Fabric f_stg(g);
+  if (c.builder == Builder::Pencil3d) {
+    // x-pencil (i,j): x[i0 + n0·(i1l + n1/pc·i2l)]; z-pencil (ii,jj):
+    // z[i2 + n2·(i1l + n1/pr·i0l)].
+    const int pr = c.grid.pr, pc = c.grid.pc;
+    const index_t n0pc = n0 / pc, n1pc = n1 / pc, n1pr = n1 / pr, n2pr = n2 / pr;
+    auto xs = slab_ptrs(x, g), zs = slab_ptrs(expect, g);
+    for (index_t i2 = 0; i2 < n2; ++i2)
+      for (index_t i1 = 0; i1 < n1; ++i1)
+        for (index_t i0 = 0; i0 < n0; ++i0) {
+          const int src = c.grid.device(int(i2 / n2pr), int(i1 / n1pc));
+          const int dst = c.grid.device(int(i1 / n1pr), int(i0 / n0pc));
+          zs[(std::size_t)dst][i2 + n2 * (i1 % n1pr + n1pr * (i0 % n0pc))] =
+              xs[(std::size_t)src][i0 + n0 * (i1 % n1pc + n1pc * (i2 % n2pr))];
+        }
+  } else {
+    all_to_all_permute_mp_staged(f_stg, in, slab_ptrs(expect, g), m, p, "A2A-X");
+  }
+
+  EXPECT_EQ(0, std::memcmp(y_run.data(), expect.data(), expect.size() * sizeof(T)));
+  EXPECT_EQ(0, std::memcmp(y_sub.data(), expect.data(), expect.size() * sizeof(T)));
+  EXPECT_EQ(f_run.transfers(), f_sub.transfers());
+  EXPECT_EQ(f_run.bytes_by_tag(), f_sub.bytes_by_tag());
+  for (int s = 0; s < g; ++s)
+    for (int d = 0; d < g; ++d) {
+      EXPECT_EQ(f_run.bytes_between(s, d), f_sub.bytes_between(s, d)) << s << "->" << d;
+      if (c.builder == Builder::OnePhase) {
+        EXPECT_EQ(f_run.bytes_between(s, d), f_stg.bytes_between(s, d)) << s << "->" << d;
+      }
+    }
+}
+
+class ExchangePaths : public ::testing::TestWithParam<ExchangeCase> {};
+
+TEST_P(ExchangePaths, RunSubmitAndOracleAgree) {
+  {
+    SCOPED_TRACE("c64");
+    check_exchange_paths<std::complex<double>>(GetParam());
+  }
+  {
+    SCOPED_TRACE("c32");
+    check_exchange_paths<std::complex<float>>(GetParam());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Builders, ExchangePaths, ::testing::ValuesIn(exchange_cases()),
+                         exchange_case_name);
+
+TEST(Collectives, SendExchangesRunAndSubmitAgree) {
+  // The halo ring and the allgather move contiguous sends on the link
+  // lanes; submitted, they must land exactly what run lands.
+  for (int g : {1, 2, 4}) {
+    const index_t h = 3, len = 10, slab = 5;
+    auto execute = [&](bool async, sim::Fabric& fabric) {
+      std::vector<double> interior((std::size_t)(g * len)), halo((std::size_t)(2 * g * h), -1.0);
+      std::vector<double> gsrc((std::size_t)(g * slab)), gdst((std::size_t)(g * g * slab), -1.0);
+      std::iota(interior.begin(), interior.end(), 0.0);
+      std::iota(gsrc.begin(), gsrc.end(), 1000.0);
+      std::vector<const double*> lo_src, hi_src, gs;
+      std::vector<double*> lo_dst, hi_dst, gd;
+      for (int r = 0; r < g; ++r) {
+        lo_src.push_back(interior.data() + r * len);
+        hi_src.push_back(interior.data() + r * len + len - h);
+        lo_dst.push_back(halo.data() + 2 * r * h);
+        hi_dst.push_back(halo.data() + 2 * r * h + h);
+        gs.push_back(gsrc.data() + r * slab);
+        gd.push_back(gdst.data() + r * g * slab);
+      }
+      const auto ring = exchange_halo_ring(lo_src, hi_src, lo_dst, hi_dst, h, "COMM-T");
+      const auto gather = exchange_allgather(gs, gd, slab, "COMM-G");
+      if (async) {
+        exec::DeviceLanes lanes(g);
+        exec::TaskGraph graph(lanes.count());
+        const exec::TaskId start = graph.submit("start", {0, /*ordered=*/true, "fmm"}, [] {});
+        const auto a = ring.submit(graph, lanes, fabric, [&](int, int) { return start; });
+        gather.submit(graph, lanes, fabric, [&](int, int) { return start; });
+        EXPECT_EQ(int(a.arrived[0].size()), 2);
+        graph.run();
+      } else {
+        ring.run(fabric);
+        gather.run(fabric);
+      }
+      halo.insert(halo.end(), gdst.begin(), gdst.end());
+      return halo;
+    };
+    sim::Fabric f_run(g), f_sub(g);
+    EXPECT_EQ(execute(false, f_run), execute(true, f_sub)) << "g=" << g;
+    EXPECT_EQ(f_run.transfers(), f_sub.transfers());
+    EXPECT_EQ(f_run.bytes_by_tag(), f_sub.bytes_by_tag());
+    for (int s = 0; s < g; ++s)
+      for (int d = 0; d < g; ++d) EXPECT_EQ(f_run.bytes_between(s, d), f_sub.bytes_between(s, d));
+  }
+}
+
+TEST(Collectives, AliasedBuffersThrow) {
+  // Scatters read the senders' slabs while writing the receivers', so the
+  // builders reject overlapping input and output slabs in every build.
+  const index_t m = 16, p = 8;
+  const int g = 2;
+  std::vector<double> a(std::size_t(m * p)), b(std::size_t(m * p));
+  const index_t slab = m * p / g;
+  std::vector<double*> in{a.data(), a.data() + slab}, out{b.data(), b.data() + slab};
+  sim::Fabric fabric(g);
+  EXPECT_THROW(all_to_all_permute_mp(fabric, in, in, m, p, "t"), Error);
+  std::vector<double*> crossed{a.data() + slab, b.data()};  // out[0] is in[1]
+  EXPECT_THROW(all_to_all_permute_mp(fabric, in, crossed, m, p, "t"), Error);
+  std::vector<double*> straddle{a.data() + slab / 2, b.data() + slab};  // partial overlap
+  EXPECT_THROW(all_to_all_permute_mp(fabric, in, straddle, m, p, "t"), Error);
+  EXPECT_THROW(exchange_pencil2d_row(in, in, m, p, ProcGrid{1, 2}), Error);
+  EXPECT_THROW(exchange_pencil2d_col(in, in, m, p, ProcGrid{2, 1}), Error);
+  EXPECT_THROW(exchange_pencil3d_row(in, in, 8, 4, 4, ProcGrid{1, 2}), Error);
+  EXPECT_THROW(exchange_pencil3d_col(in, in, 8, 4, 4, ProcGrid{2, 1}), Error);
+  EXPECT_EQ(fabric.transfers(), 0u);
+  all_to_all_permute_mp(fabric, in, out, m, p, "t");
+  EXPECT_EQ(fabric.transfers(), std::size_t(g * (g - 1)));
 }
 
 class Baseline1dSizes : public ::testing::TestWithParam<std::pair<int, int>> {};
@@ -400,8 +627,8 @@ TEST(DistFmmFft, CommVolumeMatchesPaperModel) {
 
   // Under the ambient mixed policy the FMM halos ship fp32 words while the
   // 2D-FFT all-to-all stays at the fp64 shell width; the §5.2 word counts
-  // are identical either way. (The Transfer ledger keys by plain tag at
-  // any width; only the metric/traffic keys carry the ".f32" suffix.)
+  // are identical either way. (The fabric's per-tag totals key by plain
+  // tag at any width; only the metric/traffic keys carry the ".f32" suffix.)
   const double rb = ambient_mixed() ? sizeof(float) : sizeof(double);
   // Our implementation sends full C·P boxes (the paper counts C·(P-1)).
   const double s_expect = g * 2.0 * c * prm.p * prm.ml * rb;
@@ -470,6 +697,39 @@ TEST(DistFmmFft, EngineStatsExposedPerDevice) {
     for (const auto& s : st) flops += s.flops;
     EXPECT_GT(flops, 0);
   }
+}
+
+TEST(DistFabric, RepeatedExecutesScaleLedgerExactly) {
+  // The fabric keeps running totals, not a per-message log: k executes of
+  // one plan report exactly k times one execute's per-tag bytes and
+  // message count.
+  const int k = 5;
+  auto check = [&](const sim::Fabric& fabric, auto&& execute) {
+    execute();
+    const auto once = fabric.bytes_by_tag();
+    const std::size_t msgs = fabric.transfers();
+    ASSERT_FALSE(once.empty());
+    for (int i = 1; i < k; ++i) execute();
+    auto after = fabric.bytes_by_tag();
+    EXPECT_EQ(after.size(), once.size());
+    double total = 0;
+    for (const auto& [tag, bytes] : once) {
+      EXPECT_EQ(after[tag], k * bytes) << tag;
+      total += bytes;
+    }
+    EXPECT_EQ(fabric.transfers(), k * msgs);
+    EXPECT_EQ(fabric.total_bytes(), k * total);
+  };
+  const fmm::Params prm{1 << 12, 32, 4, 2, 12};
+  std::vector<Cd> x(static_cast<std::size_t>(prm.n)), y(x.size());
+  fill_uniform(x.data(), prm.n, 12);
+  for (exec::Mode mode : {exec::Mode::Serial, exec::Mode::Async}) {
+    exec::ScopedMode sm(mode);
+    DistFmmFft<Cd> fmm(prm, 4);
+    check(fmm.fabric(), [&] { fmm.execute(x.data(), y.data()); });
+  }
+  DistFft1d<double> base(prm.n, 4);
+  check(base.fabric(), [&] { base.execute(x.data(), y.data()); });
 }
 
 TEST(DistFmmFft, RejectsInvalidDeviceCounts) {

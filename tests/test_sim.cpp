@@ -165,12 +165,12 @@ TEST(Fabric, LedgerAccounting) {
   f.send(1, 2, a.data(), b.data(), 2, "y");
   f.send(2, 2, a.data(), b.data(), 3, "local");  // not recorded
   EXPECT_EQ(b, a);
-  EXPECT_EQ(f.transfers().size(), 2u);
+  EXPECT_EQ(f.transfers(), 2u);
   EXPECT_DOUBLE_EQ(f.total_bytes(), 5 * 8.0);
   EXPECT_DOUBLE_EQ(f.bytes_sent_by(0), 24.0);
   EXPECT_DOUBLE_EQ(f.bytes_with_tag("y"), 16.0);
   f.reset();
-  EXPECT_TRUE(f.transfers().empty());
+  EXPECT_EQ(f.transfers(), 0u);
 }
 
 TEST(Fabric, BoundsChecked) {

@@ -47,6 +47,20 @@ FMMFFT_WATCHDOG_MS=${FMMFFT_WATCHDOG_MS:-60000} \
   timeout "$CTEST_TIMEOUT" \
   ctest --test-dir "$BUILD" -j "$(nproc)" --output-on-failure | tail -3
 
+echo "== e2e benchmark smoke test =="
+# The native end-to-end benchmark (bench/e2e) configured standalone, the way
+# bench/e2e/run.py builds it, into the build tree. Its smoke test checks the
+# benchmark's determinism, accuracy and trace-coverage assertions; it runs
+# alone, after the parallel suite, so its 15 s timeout is not shared with
+# the tier-1 tests.
+if ! { cmake -S bench/e2e -B "$BUILD/e2e" && \
+       cmake --build "$BUILD/e2e" --target fmmfft_e2e -j; } >"$BUILD_LOG" 2>&1; then
+  cat "$BUILD_LOG"
+  echo "E2E BUILD FAILED"
+  exit 1
+fi
+ctest --test-dir "$BUILD/e2e" -R bench_e2e_smoke --output-on-failure | tail -3
+
 echo "== trace smoke test =="
 TRACE=$(mktemp --suffix=.json)
 METRICS=$(mktemp --suffix=.json)
