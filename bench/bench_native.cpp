@@ -259,10 +259,11 @@ void bench_fmmfft_e2e() {
   record("fmmfft_e2e_n16_mixed_pool", "seconds", sec, sec);
 }
 
-/// Distributed end-to-end: the serial reference driver vs the async
-/// task-graph executor on the same DistFmmFft instance, g devices. Outputs
-/// must be byte-identical — the executor's whole point is reordering
-/// without renumbering. Returns false on a mismatch.
+/// Distributed end-to-end: the stage task graph drained on the calling
+/// thread (Serial mode) vs on the pool (Async mode), on the same DistFmmFft
+/// instance, g devices. Outputs must be byte-identical — the executor's
+/// whole point is reordering without renumbering. Returns false on a
+/// mismatch.
 bool bench_dist_e2e(int g, fmm::Precision prec = fmm::Precision::Fp64) {
   // Shapes divide by every g in {2, 4}: m = 1024, p = 64, 8 base boxes.
   const fmm::Params prm{index_t(1) << 16, 64, 8, 3, 14};
@@ -460,8 +461,8 @@ int main(int argc, char** argv) {
 
   bench_fmmfft_e2e();
 
-  // Distributed e2e, serial driver vs async executor (overlap headroom
-  // scales with hardware threads; byte-identity is checked regardless).
+  // Distributed e2e, Serial vs Async exec mode (overlap headroom scales
+  // with hardware threads; byte-identity is checked regardless).
   for (int g : {2, 4})
     if (!bench_dist_e2e(g)) return 1;
   if (!bench_dist_e2e(2, fmm::Precision::Mixed)) return 1;

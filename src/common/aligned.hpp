@@ -10,8 +10,10 @@
 
 #include <cstddef>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <new>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/threadpool.hpp"
@@ -52,6 +54,22 @@ constexpr index_t buffer_parallel_touch_threshold() {
   return index_t((std::size_t(1) << 20) / sizeof(T));
 }
 
+namespace detail {
+
+/// Value-initialize n elements at p. Zero is all-zero bytes for arithmetic
+/// and std::complex elements, so those take one memset: the library's
+/// optimized fill, rather than an element loop whose speed varied with
+/// code and data placement between otherwise identical builds.
+template <typename T>
+void zero_fill(T* p, index_t n) {
+  if constexpr (std::is_arithmetic_v<T> || is_complex_v<T>)
+    std::memset(static_cast<void*>(p), 0, static_cast<std::size_t>(n) * sizeof(T));
+  else
+    std::uninitialized_value_construct_n(p, static_cast<std::size_t>(n));
+}
+
+}  // namespace detail
+
 /// Fixed-size aligned buffer of trivially-copyable scalars, zero-initialized.
 /// Movable, non-copyable: the library treats buffers as owned workspaces.
 template <typename T>
@@ -71,12 +89,9 @@ class Buffer {
         const index_t grain = std::max<index_t>(1, index_t(4096 / sizeof(T)));
         parallel_for(
             n,
-            [p](index_t b, index_t e) {
-              std::uninitialized_value_construct_n(p + b, static_cast<std::size_t>(e - b));
-            },
-            grain);
+            [p](index_t b, index_t e) { detail::zero_fill(p + b, e - b); }, grain);
       } else {
-        std::uninitialized_value_construct_n(p, static_cast<std::size_t>(n));
+        detail::zero_fill(p, n);
       }
     }
   }

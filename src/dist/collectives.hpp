@@ -1,12 +1,13 @@
 // Inter-device exchanges over the simulated fabric, each described once as
-// a list of pair messages (dist::Exchange) and executed two ways: `run`
-// moves every message inside one parallel_for (the serial drivers), and
-// `submit` adds the same messages to an exec::TaskGraph (the async
-// drivers). One builder per pattern produces the list: the one-phase
-// Π_{M,P} block-to-cyclic all-to-all (chunked), the row and column phases
-// of the 2D and 3D pencil exchanges, the ring halo exchange and the
-// allgather. Message granularity is one (src, dst) pair per device pair and
-// producer chunk, so fabric byte counts correspond to real message traffic.
+// a list of pair messages (dist::Exchange). `run` moves every message
+// inside one parallel_for; `submit` adds the exchange to a driver's
+// exec::TaskGraph, as per-message tasks when the graph runs on the pool or
+// as one task calling `run` when it drains on one thread. One builder per
+// pattern produces the list: the one-phase Π_{M,P} block-to-cyclic
+// all-to-all (chunked), the row and column phases of the 2D and 3D pencil
+// exchanges, the ring halo exchange and the allgather. Message granularity
+// is one (src, dst) pair per device pair and producer chunk, so fabric byte
+// counts correspond to real message traffic.
 //
 // A message moves its data in one of two ways. A *strided scatter* is
 // fused: devices share one address space in the simulator, so the sender
@@ -52,6 +53,14 @@ std::vector<T*> buffer_ptrs(std::vector<Buffer<T>>& bufs) {
   return p;
 }
 
+/// Task chunks a graph builder cuts one phase of `n` items per device into:
+/// one when the graph drains on one thread (exec::drains_inline), else the
+/// simulated schedule's max(2, G) (schedules.cpp chunk_count) floored by n,
+/// so copies start while the remaining chunks still compute.
+inline index_t phase_chunks(int g, index_t n) {
+  return exec::drains_inline() ? 1 : std::min<index_t>(std::max<index_t>(2, g), n);
+}
+
 /// Chunk c of `n` items cut into `chunks` ceil-sized pieces: [lo, hi), empty
 /// (lo == hi) once the pieces run out.
 inline std::pair<index_t, index_t> chunk_range(index_t n, index_t chunks, index_t c) {
@@ -93,9 +102,9 @@ struct Exchange {
   /// a steady-state exchange allocates nothing.
   std::vector<Message, ScratchAllocator<Message>> msgs = {};
 
-  /// Serial executor: every message moves its data and is accounted, all
-  /// messages in one parallel_for. Messages write disjoint regions, so the
-  /// result is independent of the worker count.
+  /// Every message moves its data and is accounted, all messages in one
+  /// parallel_for. Messages write disjoint regions, so the result is
+  /// independent of the worker count.
   void run(sim::Fabric& fabric) const {
     FMMFFT_CHECK(fabric.num_devices() == devices);
     parallel_for(
@@ -116,12 +125,15 @@ struct Exchange {
     std::vector<std::vector<exec::TaskId>> arrived, reads;
   };
 
-  /// Async executor: a strided scatter becomes a pack task on the sender's
+  /// Add the exchange to `graph`. Each message waits on
+  /// `producer(src, chunk)` and, when `ready` is given, on `ready[dst]`.
+  /// When the graph drains on one thread (exec::drains_inline) the whole
+  /// exchange is one task on the first sender's compute lane, labelled with
+  /// the tag, that waits on all of those and calls run(). Otherwise, in
+  /// message order, a strided scatter becomes a pack task on the sender's
   /// compute lane (unordered — packs write disjoint blocks) and an ordered
-  /// record task on the pair's link lane; a send becomes one ordered copy
-  /// task on the link lane. Each message waits on `producer(src, chunk)`
-  /// and, when `ready` is given, on `ready[dst]`. Tasks are submitted in
-  /// message order.
+  /// record task on the pair's link lane, and a send becomes one ordered
+  /// copy task on the link lane.
   template <typename Producer>
   Tasks submit(exec::TaskGraph& graph, const exec::DeviceLanes& lanes, sim::Fabric& fabric,
                Producer&& producer, const std::vector<exec::TaskId>& ready = {}) const {
@@ -129,11 +141,31 @@ struct Exchange {
     FMMFFT_CHECK(ready.empty() || (int)ready.size() == devices);
     Tasks t{std::vector<std::vector<exec::TaskId>>((std::size_t)devices),
             std::vector<std::vector<exec::TaskId>>((std::size_t)devices)};
+    auto gates = [&](const Message& m) {
+      std::vector<exec::TaskId> deps{producer(m.src, m.chunk)};
+      if (!ready.empty()) deps.push_back(ready[(std::size_t)m.dst]);
+      return deps;
+    };
+    if (exec::drains_inline()) {
+      if (msgs.empty()) return t;
+      std::vector<exec::TaskId> deps;
+      for (const Message& m : msgs)
+        for (exec::TaskId d : gates(m)) deps.push_back(d);
+      const Message& first = msgs.front();
+      const exec::TaskId id = graph.submit(
+          tag, {lanes.compute(first.src), /*ordered=*/false,
+                first.move == Move::Send ? "sync" : "a2a"},
+          [x = *this, &fabric] { x.run(fabric); }, std::move(deps));
+      for (const Message& m : msgs) {
+        t.reads[(std::size_t)m.src].push_back(id);
+        t.arrived[(std::size_t)m.dst].push_back(id);
+      }
+      return t;
+    }
     for (const Message& m : msgs) {
       std::string sfx = " " + std::to_string(m.src) + "->" + std::to_string(m.dst);
       if (chunked) sfx += " c" + std::to_string(m.chunk);
-      std::vector<exec::TaskId> deps{producer(m.src, m.chunk)};
-      if (!ready.empty()) deps.push_back(ready[(std::size_t)m.dst]);
+      std::vector<exec::TaskId> deps = gates(m);
       const int copy_lane = lanes.copy(m.src, m.dst);
       exec::TaskId read, link;
       if (m.move == Move::Send) {

@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "common/math.hpp"
 #include "dist/collectives.hpp"
-#include "obs/health.hpp"
 #include "obs/obs.hpp"
 
 namespace fmmfft::dist {
@@ -92,55 +91,11 @@ Dist2dFft<T>::Dist2dFft(index_t m, index_t p, int g, model::Decomp decomp,
 template <typename T>
 void Dist2dFft<T>::execute_slabs(const std::vector<std::complex<T>*>& slabs,
                                  sim::Fabric& fabric) {
-  // Per-device slab of the m×p grid decides Auto, as in DistFmmFft.
-  if (exec::resolve_mode(m_ * p_ / g_) == exec::Mode::Serial) {
-    execute_slabs_serial(slabs, fabric);
-    return;
-  }
   exec::DeviceLanes lanes(g_);
   exec::TaskGraph graph(lanes.count());
   graph.name_lanes(lanes);
   submit_slabs(graph, lanes, slabs, fabric);
   graph.run();
-}
-
-template <typename T>
-void Dist2dFft<T>::execute_slabs_serial(const std::vector<std::complex<T>*>& slabs,
-                                        sim::Fabric& fabric) {
-  using Cx = std::complex<T>;
-  const index_t slab = m_ * p_ / g_;
-  obs::health::PhaseSource hb("dist.2dfft.serial");
-  // (a) M local FFTs of size P on the p-major data (M/G per device).
-  {
-    FMMFFT_SPAN("2DFFT-P");
-    for (int r = 0; r < g_; ++r) {
-      hb.phase("fft-p", r);
-      plan_p_.execute_batched(slabs[(std::size_t)r], m_ / g_, fft::Direction::Forward);
-    }
-  }
-  // (b) Π_{M,P} all-to-all — the FMM-FFT's single transpose, one-phase or
-  // factorized through the row/column sub-communicators.
-  hb.phase("a2a");
-  auto sc = buffer_ptrs(scratch_);
-  if (decomp_ == model::Decomp::Pencil) {
-    auto wk = buffer_ptrs(work_);
-    exchange_pencil2d_row(slabs, wk, m_, p_, grid_).run(fabric);
-    exchange_pencil2d_col(wk, sc, m_, p_, grid_).run(fabric);
-  } else {
-    exchange_permute_mp(slabs, sc, m_, p_, "A2A-2D").run(fabric);
-  }
-  // (c) P local FFTs of size M (P/G per device).
-  {
-    FMMFFT_SPAN("2DFFT-M");
-    for (int r = 0; r < g_; ++r) {
-      hb.phase("fft-m", r);
-      plan_m_.execute_batched(sc[(std::size_t)r], p_ / g_, fft::Direction::Forward);
-    }
-  }
-  for (int r = 0; r < g_; ++r) {
-    hb.phase("writeback", r);
-    std::memcpy(slabs[(std::size_t)r], sc[(std::size_t)r], sizeof(Cx) * slab);
-  }
 }
 
 template <typename T>
@@ -153,10 +108,7 @@ std::vector<exec::TaskId> Dist2dFft<T>::submit_slabs(exec::TaskGraph& graph,
   FMMFFT_CHECK((index_t)slabs.size() == g_);
   FMMFFT_CHECK(ready.empty() || (int)ready.size() == g_);
   const index_t mg = m_ / g_, pg = p_ / g_, slab = m_ * p_ / g_;
-  // Same chunk granularity the simulated schedule pipelines with
-  // (schedules.cpp chunk_count): enough chunks that a copy can start while
-  // the remaining row FFTs still run, floored by the rows themselves.
-  const index_t nc = std::min<index_t>(std::max<index_t>(2, g_), mg);
+  const index_t nc = phase_chunks(g_, mg);
   auto sc = buffer_ptrs(scratch_);
 
   // (a) Row FFTs, one task per chunk of contiguous p-major rows. Rows are

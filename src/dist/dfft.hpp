@@ -71,17 +71,17 @@ class Dist2dFft {
   void execute(const std::complex<T>* in, std::complex<T>* out);
 
   /// In-place variant over externally owned per-device slabs of N/G
-  /// elements (used by the distributed FMM-FFT to avoid staging). Driver
-  /// choice via exec::resolve_mode on the per-device slab size: explicit
-  /// Serial/Async pass through, Auto (the default) applies the work floor.
+  /// elements (used by the distributed FMM-FFT to avoid staging): builds
+  /// the submit_slabs graph and runs it in the exec mode in effect.
   void execute_slabs(const std::vector<std::complex<T>*>& slabs, sim::Fabric& fabric);
 
-  /// Async building block: submit the whole 2D FFT as tasks on `graph` —
-  /// per-device row-FFT chunks, the single all-to-all as per-(pair, chunk)
-  /// fused scatter (pack) + link accounting (copy) tasks — in pencil mode
-  /// its row phase, a per-device join and its column phase — then
-  /// column-FFT chunks and the slab write-back, so copies overlap
-  /// neighbouring FFT chunks as dist::dist2dfft_schedule models.
+  /// Submit the whole 2D FFT as tasks on `graph` — per-device row-FFT
+  /// chunks, the single all-to-all as per-(pair, chunk) fused scatter
+  /// (pack) + link accounting (copy) tasks — in pencil mode its row phase,
+  /// a per-device join and its column phase — then column-FFT chunks and
+  /// the slab write-back, so copies overlap neighbouring FFT chunks as
+  /// dist::dist2dfft_schedule models. A graph that drains on one thread
+  /// gets one chunk per phase and device and one task per exchange.
   /// `ready[r]` (optional) gates device r's first task; returns the
   /// per-device terminal task (slab writes complete when it finishes).
   std::vector<exec::TaskId> submit_slabs(exec::TaskGraph& graph,
@@ -96,8 +96,6 @@ class Dist2dFft {
   const model::DecompDecision& decision() const { return decision_; }
 
  private:
-  void execute_slabs_serial(const std::vector<std::complex<T>*>& slabs, sim::Fabric& fabric);
-
   index_t m_, p_;
   int g_;
   model::Decomp decomp_ = model::Decomp::Slab;

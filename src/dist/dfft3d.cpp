@@ -6,7 +6,6 @@
 #include "common/error.hpp"
 #include "common/math.hpp"
 #include "dist/collectives.hpp"
-#include "obs/health.hpp"
 #include "obs/obs.hpp"
 
 namespace fmmfft::dist {
@@ -77,89 +76,7 @@ void Dist3dFft<T>::gather(std::complex<T>* out) const {
 }
 
 // ---------------------------------------------------------------------------
-// Serial paths.
-
-template <typename T>
-void Dist3dFft<T>::execute_slab_serial() {
-  obs::health::PhaseSource hb("dist.3dfft.slab");
-  auto a = buffer_ptrs(buf_a_);
-  auto b = buffer_ptrs(buf_b_);
-  const index_t n2g = n2_ / g_, plane = n0_ * n1_;
-  {
-    FMMFFT_SPAN("3DFFT-0");
-    for (int r = 0; r < g_; ++r) {
-      hb.phase("fft0", r);
-      plan0_.execute_batched(a[(std::size_t)r], n1_ * n2g, fft::Direction::Forward);
-    }
-  }
-  {
-    // Local reorientation to i1-fastest, one plane at a time.
-    FMMFFT_SPAN("3DFFT-T01");
-    for (int r = 0; r < g_; ++r) {
-      hb.phase("transpose", r);
-      for (index_t t = 0; t < n2g; ++t)
-        transpose_blocked(a[(std::size_t)r] + t * plane, b[(std::size_t)r] + t * plane, n0_, n1_);
-    }
-  }
-  {
-    FMMFFT_SPAN("3DFFT-1");
-    for (int r = 0; r < g_; ++r) {
-      hb.phase("fft1", r);
-      plan1_.execute_batched(b[(std::size_t)r], n0_ * n2g, fft::Direction::Forward);
-    }
-  }
-  // The one G-wide exchange: Π_{M=n2, P=n0·n1} on the μ = i1 + n1·i0 index.
-  hb.phase("a2a");
-  exchange_permute_mp(b, a, n2_, plane, "A2A-3D").run(fabric_);
-  {
-    FMMFFT_SPAN("3DFFT-2");
-    for (int r = 0; r < g_; ++r) {
-      hb.phase("fft2", r);
-      plan2_.execute_batched(a[(std::size_t)r], plane / g_, fft::Direction::Forward);
-    }
-  }
-}
-
-template <typename T>
-void Dist3dFft<T>::execute_pencil_serial() {
-  obs::health::PhaseSource hb("dist.3dfft.pencil");
-  auto a = buffer_ptrs(buf_a_);
-  auto b = buffer_ptrs(buf_b_);
-  const int pr = grid_.pr, pc = grid_.pc;
-  const index_t n0pc = n0_ / pc, n1pc = n1_ / pc, n1pr = n1_ / pr, n2pr = n2_ / pr;
-  {
-    FMMFFT_SPAN("3DFFT-0");
-    for (int d = 0; d < g_; ++d) {
-      hb.phase("fft0", d);
-      plan0_.execute_batched(a[(std::size_t)d], n1pc * n2pr, fft::Direction::Forward);
-    }
-  }
-  // Row sub-communicator exchange: x-pencils → y-pencils within each grid
-  // row (per i2 plane exactly the Π_{n1,n0} fused pair message).
-  hb.phase("a2a-row");
-  exchange_pencil3d_row(a, b, n0_, n1_, n2_, grid_).run(fabric_);
-  {
-    FMMFFT_SPAN("3DFFT-1");
-    for (int d = 0; d < g_; ++d) {
-      hb.phase("fft1", d);
-      plan1_.execute_batched(b[(std::size_t)d], n0pc * n2pr, fft::Direction::Forward);
-    }
-  }
-  // Column sub-communicator exchange: y-pencils → z-pencils within each
-  // grid column.
-  hb.phase("a2a-col");
-  exchange_pencil3d_col(b, a, n0_, n1_, n2_, grid_).run(fabric_);
-  {
-    FMMFFT_SPAN("3DFFT-2");
-    for (int d = 0; d < g_; ++d) {
-      hb.phase("fft2", d);
-      plan2_.execute_batched(a[(std::size_t)d], n0pc * n1pr, fft::Direction::Forward);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Async submission.
+// Task graphs.
 
 template <typename T>
 std::vector<exec::TaskId> Dist3dFft<T>::submit_slab(exec::TaskGraph& graph,
@@ -168,7 +85,7 @@ std::vector<exec::TaskId> Dist3dFft<T>::submit_slab(exec::TaskGraph& graph,
   auto a = buffer_ptrs(buf_a_);
   auto b = buffer_ptrs(buf_b_);
   const index_t n2g = n2_ / g_, plane = n0_ * n1_, pg01 = plane / g_;
-  const index_t nc = std::min<index_t>(std::max<index_t>(2, g_), n2g);
+  const index_t nc = phase_chunks(g_, n2g);
 
   // Per-chunk fft0 → reorient → fft1 over each device's local i2 planes.
   std::vector<std::vector<exec::TaskId>> fft1((std::size_t)g_), trans((std::size_t)g_);
@@ -191,14 +108,10 @@ std::vector<exec::TaskId> Dist3dFft<T>::submit_slab(exec::TaskGraph& graph,
           "t01 d" + std::to_string(r) + " c" + std::to_string(c),
           {lanes.compute(r), /*ordered=*/false, "transpose"},
           [this, ap, bp, planes, plane] {
+            // Local reorientation to i1-fastest, one plane at a time.
             FMMFFT_SPAN("3DFFT-T01");
-            // Same per-plane traffic records as the serial transpose_blocked.
-            for (index_t t = 0; t < planes; ++t) {
-              FMMFFT_TRAFFIC_RW("transpose", double(plane) * sizeof(Cx),
-                                double(plane) * sizeof(Cx), 0);
-              fmmfft::detail::transpose_strided_serial(ap + t * plane, n0_, bp + t * plane,
-                                                       n1_, n0_, n1_);
-            }
+            for (index_t t = 0; t < planes; ++t)
+              transpose_blocked(ap + t * plane, bp + t * plane, n0_, n1_);
           },
           {f0});
       trans[(std::size_t)r].push_back(tr);
@@ -267,7 +180,7 @@ std::vector<exec::TaskId> Dist3dFft<T>::submit_pencil(exec::TaskGraph& graph,
   auto b = buffer_ptrs(buf_b_);
   const int pr = grid_.pr, pc = grid_.pc;
   const index_t n0pc = n0_ / pc, n1pc = n1_ / pc, n1pr = n1_ / pr, n2pr = n2_ / pr;
-  const index_t nc = std::min<index_t>(std::max<index_t>(2, g_), n2pr);
+  const index_t nc = phase_chunks(g_, n2pr);
 
   // (a) fft0 chunks over local i2 planes of the x-pencils.
   std::vector<std::vector<exec::TaskId>> fft0((std::size_t)g_);
@@ -366,21 +279,14 @@ std::vector<exec::TaskId> Dist3dFft<T>::submit_pencil(exec::TaskGraph& graph,
 template <typename T>
 void Dist3dFft<T>::execute(const std::complex<T>* in, std::complex<T>* out) {
   scatter(in);
-  if (exec::resolve_mode(n0_ * n1_ * n2_ / g_) == exec::Mode::Serial) {
-    if (decomp_ == model::Decomp::Slab)
-      execute_slab_serial();
-    else
-      execute_pencil_serial();
-  } else {
-    exec::DeviceLanes lanes(g_);
-    exec::TaskGraph graph(lanes.count());
-    graph.name_lanes(lanes);
-    if (decomp_ == model::Decomp::Slab)
-      submit_slab(graph, lanes);
-    else
-      submit_pencil(graph, lanes);
-    graph.run();
-  }
+  exec::DeviceLanes lanes(g_);
+  exec::TaskGraph graph(lanes.count());
+  graph.name_lanes(lanes);
+  if (decomp_ == model::Decomp::Slab)
+    submit_slab(graph, lanes);
+  else
+    submit_pencil(graph, lanes);
+  graph.run();
   gather(out);
 }
 

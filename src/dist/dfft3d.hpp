@@ -14,8 +14,8 @@
 // The decomposition is chosen per instance: constructor argument, else
 // FMMFFT_DECOMP/FMMFFT_GRID, else the model::choose_decomp cost model.
 // Both paths run the same per-line FFT plans over the same line values, so
-// their outputs are bit-identical to each other, to the serial/async
-// drivers, and to a G=1 run (the tests' memcmp oracle).
+// their outputs are bit-identical to each other, in either exec mode, and
+// to a G=1 run (the tests' memcmp oracle).
 //
 // Data is host-staged like DistFft1d: execute() scatters the natural-order
 // input (i0 fastest) to per-device pencils/slabs and gathers the result in
@@ -45,8 +45,8 @@ class Dist3dFft {
             model::Decomp decomp = model::Decomp::Auto, model::GridShape grid = {});
 
   /// in: natural order x[i0 + n0·(i1 + n1·i2)]; out: reversed order
-  /// y[i2 + n2·(i1 + n1·i0)]. Driver mode via exec::resolve_mode on the
-  /// per-device element count (FMMFFT_EXEC serial|async|auto).
+  /// y[i2 + n2·(i1 + n1·i0)]. Builds the layout's task graph (submit_slab
+  /// or submit_pencil) and runs it in the exec mode in effect.
   void execute(const std::complex<T>* in, std::complex<T>* out);
 
   index_t n0() const { return n0_; }
@@ -61,9 +61,7 @@ class Dist3dFft {
  private:
   void scatter(const std::complex<T>* in);
   void gather(std::complex<T>* out) const;
-  void execute_slab_serial();
-  void execute_pencil_serial();
-  /// Async submission mirroring Dist2dFft::submit_slabs: per-device compute
+  /// Task graphs mirroring Dist2dFft::submit_slabs: per-device compute
   /// lanes run FFT chunks and fused pack scatters, per-link copy lanes
   /// carry the fabric accounting, and exchange chunks overlap neighbouring
   /// FFT chunks. Returns the per-device terminal task.

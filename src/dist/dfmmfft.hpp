@@ -39,12 +39,10 @@ class DistFmmFft {
   int num_devices() const { return g_; }
   fmm::Precision precision() const { return prec_; }
 
-  /// Host-staged execute: out = F_N · in, both length N. Driver choice via
-  /// exec::resolve_mode on the per-device slab size (N/G): explicit
-  /// Serial/Async (FMMFFT_EXEC or exec::ScopedMode) pass through, Auto —
-  /// the default — picks Serial below the work floor where the graph's
-  /// overhead outweighs overlap. Both paths produce bit-identical output
-  /// at any worker count.
+  /// Host-staged execute: out = F_N · in, both length N. Builds the stage
+  /// task graph and runs it in the exec mode in effect (FMMFFT_EXEC or
+  /// exec::ScopedMode); both modes produce bit-identical output at any
+  /// worker count.
   void execute(const InT* in, Out* out);
 
   const sim::Fabric& fabric() const { return fabric_; }
@@ -71,9 +69,7 @@ class DistFmmFft {
       return engines32_;
   }
   template <typename ER>
-  void execute_serial_t(const InT* in, Out* out);
-  template <typename ER>
-  void execute_async_t(const InT* in, Out* out);
+  void execute_t(const InT* in, Out* out);
   /// POST for device r (§4.9 line 15): one pass from the engine's T tensor
   /// into the 2D-FFT slab, widening to the shell precision on load.
   template <typename ER>

@@ -50,38 +50,15 @@ void inject_stall(TaskId id, int ms) {
 Mode default_mode() {
   static const Mode m = [] {
     const char* v = obs::env::get("FMMFFT_EXEC");
-    if (v && std::strcmp(v, "serial") == 0) return Mode::Serial;
-    if (v && std::strcmp(v, "async") == 0) return Mode::Async;
-    return Mode::Auto;
+    return v && std::strcmp(v, "serial") == 0 ? Mode::Serial : Mode::Async;
   }();
   return m;
 }
 
 Mode mode() { return tl_mode(); }
 
-index_t auto_work_floor() {
-  static const index_t f = [] {
-    if (const char* v = obs::env::get("FMMFFT_EXEC_FLOOR")) {
-      char* end = nullptr;
-      const long long parsed = std::strtoll(v, &end, 10);
-      if (end != v && parsed >= 0) return static_cast<index_t>(parsed);
-    }
-    return index_t(65536);
-  }();
-  return f;
-}
-
-Mode resolve_mode(index_t per_device_elems) {
-  const Mode m = mode();
-  if (m != Mode::Auto) return m;
-  const index_t floor = auto_work_floor();
-  if (obs::metrics_enabled()) obs::Metrics::global().gauge("exec.auto.floor").set(double(floor));
-  if (per_device_elems < floor) {
-    FMMFFT_COUNT("exec.auto.serial", 1);
-    return Mode::Serial;
-  }
-  FMMFFT_COUNT("exec.auto.async", 1);
-  return Mode::Async;
+bool drains_inline(const ThreadPool& pool) {
+  return mode() == Mode::Serial || pool.workers() == 1 || ThreadPool::in_task();
 }
 
 ScopedMode::ScopedMode(Mode m) : prev_(tl_mode()) { tl_mode() = m; }
@@ -224,11 +201,14 @@ void TaskGraph::run(ThreadPool& pool) {
     obs::health::Source* src = nullptr;
   } guard(this);
 
-  const index_t workers =
-      std::min<index_t>(pool.workers(), static_cast<index_t>(tasks_.size()));
   // Each chunk is one graph-drain worker; the pool's chunk dispatch hands
-  // every chunk to a distinct thread when enough workers are idle, and
-  // degrades to a single inline drain when nested or single-threaded.
+  // every chunk to a distinct thread when enough workers are idle. A single
+  // chunk runs as a plain loop on this thread, not as a pool task, so in
+  // Serial mode the task bodies' own parallel_for still uses the pool.
+  const index_t workers =
+      drains_inline(pool)
+          ? 1
+          : std::min<index_t>(pool.workers(), static_cast<index_t>(tasks_.size()));
   const std::function<void(index_t)> drain = [this](index_t) { worker_loop(); };
   pool.run_chunks(workers, drain);
   FMMFFT_FLIGHT(GraphEnd, done_, 0, error_ ? "failed" : "ok");

@@ -1,4 +1,4 @@
-// Dependency-driven async task executor for the native distributed drivers.
+// Dependency-driven task executor for the native distributed drivers.
 //
 // The native twin of sim::Schedule: where the simulator *models* a
 // multi-device execution as ops with dependency edges timed under an
@@ -6,32 +6,35 @@
 // Tasks bind to lanes — per-device ordered queues that serialize like CUDA
 // streams (DeviceLanes numbers one compute lane per device plus one copy
 // lane per directed device pair, mirroring the simulator's resources) — and
-// carry explicit cross-lane dependency edges. run() drains every ready task
-// on the existing fmmfft::ThreadPool, so device compute overlaps fabric
-// copies exactly where the schedule builders (dist/schedules.cpp) model
-// overlap.
+// carry explicit cross-lane dependency edges. Each distributed driver
+// describes its stages once, as a graph, and run() executes it one of two
+// ways:
+//
+//  * Async (the default) drains ready tasks on the existing
+//    fmmfft::ThreadPool, so device compute overlaps fabric copies exactly
+//    where the schedule builders (dist/schedules.cpp) model overlap;
+//  * Serial (FMMFFT_EXEC=serial, or ScopedMode for in-process A/B) drains
+//    the same graph on the calling thread alone, as a plain loop rather
+//    than a pool task, so each stage body's own parallel_for still uses the
+//    pool.
+//
+// Graph builders derive their task granularity from drains_inline(): when
+// the graph drains on one thread they submit one task per (phase, device)
+// and one per exchange; otherwise they pipeline chunks and per-message
+// copies.
 //
 // Determinism / bit-identity argument:
 //  * tasks submitted `ordered` on the same lane execute in submission
-//    order, one at a time — the per-device arithmetic order is exactly the
-//    serial driver's;
+//    order, one at a time — the per-device arithmetic order is fixed by the
+//    graph, whichever thread runs it;
 //  * `unordered` tasks are used only for data-parallel work on disjoint
 //    ranges (independent FFT lines, pack/unpack of disjoint chunks), whose
-//    results do not depend on execution order;
-//  * task bodies run inside ThreadPool chunks, so nested parallel_for calls
-//    degrade to inline loops (ThreadPool::in_task()).
-// Outputs are therefore bit-identical to the serial driver at any worker
-// count; tests/test_exec.cpp enforces this byte-for-byte.
-//
-// Mode selection: FMMFFT_EXEC=serial keeps the old strictly-serial driver
-// loops for A/B measurement (bench_native's distributed e2e track),
-// FMMFFT_EXEC=async forces the executor, and the default (auto) picks per
-// driver call: below a per-device work floor (FMMFFT_EXEC_FLOOR elements)
-// the graph's submit/run overhead outweighs the overlap, so Auto resolves
-// to Serial; at or above it, to Async. Either way the outputs are
-// bit-identical — the mode only chooses *when* overlap is worth it.
-// ScopedMode overrides the mode on the current thread for in-process A/B
-// comparisons.
+//    results do not depend on execution order or chunking;
+//  * a task body's parallel_for splits only work whose result does not
+//    depend on the split (the library's worker-count invariance), and
+//    degrades to an inline loop inside a pool task (ThreadPool::in_task()).
+// Outputs are therefore bit-identical across modes and worker counts;
+// tests/test_exec.cpp enforces this byte-for-byte.
 #pragma once
 
 #include <atomic>
@@ -44,7 +47,6 @@
 #include <vector>
 
 #include "common/threadpool.hpp"
-#include "common/types.hpp"
 #include "obs/health.hpp"
 
 namespace fmmfft::exec {
@@ -57,26 +59,18 @@ using TaskId = int;
 /// FMMFFT_FAULT_STALL_MS arm the same hook from the environment.
 void inject_stall(TaskId id, int ms);
 
-enum class Mode { Serial, Async, Auto };
+enum class Mode { Serial, Async };
 
-/// Process default from FMMFFT_EXEC ("serial" -> Serial, "async" -> Async;
-/// default Auto).
+/// Process default from FMMFFT_EXEC ("serial" -> Serial; default Async).
 Mode default_mode();
 /// Mode in effect on the calling thread (default_mode unless overridden).
 Mode mode();
 
-/// Per-device work floor (tensor elements) below which Auto resolves to
-/// Serial. FMMFFT_EXEC_FLOOR overrides the default of 65536 (chosen from
-/// BENCH_native: the g=4 slab of an N=2^16 transform, 16384 elements, runs
-/// ~7% slower through the task graph than through the serial loops).
-index_t auto_work_floor();
-
-/// Resolve the effective mode for one driver execution whose per-device
-/// working set is `per_device_elems` tensor elements. Serial/Async pass
-/// through; Auto applies the work floor. The decision lands in the metrics
-/// JSON (exec.auto.serial / exec.auto.async counters, exec.auto.floor
-/// gauge) so runs record which path executed.
-Mode resolve_mode(index_t per_device_elems);
+/// True when TaskGraph::run(pool) drains the graph on the calling thread
+/// alone: Serial mode, a one-worker pool, or a call from inside a pool
+/// task. Graph builders then submit one task per (phase, device) and per
+/// exchange instead of pipelined chunks.
+bool drains_inline(const ThreadPool& pool = ThreadPool::global());
 
 /// RAII thread-local mode override for in-process A/B comparisons.
 class ScopedMode {
@@ -130,9 +124,10 @@ class TaskGraph : public obs::health::Source {
   TaskId submit(std::string label, const Options& opt, std::function<void()> fn,
                 std::vector<TaskId> deps = {});
 
-  /// Execute the whole graph on `pool`, blocking until every task completed
-  /// (or the graph was cancelled by a failure). The first task exception is
-  /// rethrown; tasks not yet started when a failure hits never run.
+  /// Execute the whole graph on `pool` — or, in Serial mode, on the calling
+  /// thread alone — blocking until every task completed (or the graph was
+  /// cancelled by a failure). The first task exception is rethrown; tasks
+  /// not yet started when a failure hits never run.
   void run(ThreadPool& pool = ThreadPool::global());
 
   int size() const { return static_cast<int>(tasks_.size()); }

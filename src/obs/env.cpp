@@ -18,13 +18,12 @@ const std::vector<Knob>& registry() {
        "record the memory-traffic ledger, write its JSON here at exit"},
       {"FMMFFT_NUM_THREADS", "int", "hardware",
        "host thread-pool size (default: all hardware threads)"},
-      {"FMMFFT_EXEC", "enum", "auto",
-       "distributed driver mode: serial | async | auto (work-floor heuristic)"},
+      {"FMMFFT_EXEC", "enum", "async",
+       "distributed driver task graph: async (thread pool) | serial (calling "
+       "thread)"},
       {"FMMFFT_PRECISION", "enum", "fp64",
        "FMM translation precision: fp64 | mixed (fp32 operators, kernels and "
        "comm payloads under an fp64 shell)"},
-      {"FMMFFT_EXEC_FLOOR", "int", "65536",
-       "per-device element floor below which auto resolves to serial"},
       {"FMMFFT_DECOMP", "enum", "auto",
        "distributed 2D/3D decomposition: auto (cost model) | slab (one-phase "
        "all-to-all) | pencil (two-phase row/column sub-communicators)"},

@@ -35,7 +35,6 @@ const char* ev_name(Ev kind) {
     case Ev::TaskStart: return "task_start";
     case Ev::TaskEnd: return "task_end";
     case Ev::TaskFail: return "task_fail";
-    case Ev::Stage: return "stage";
     case Ev::Comm: return "comm";
     case Ev::Fault: return "fault";
   }
@@ -327,57 +326,6 @@ std::string last_verdict() {
   Watchdog& w = dog();
   std::lock_guard<std::mutex> lk(w.verdict_mu);
   return w.verdict;
-}
-
-// ---------------------------------------------------------------------------
-// PhaseSource
-
-PhaseSource::PhaseSource(const char* name) : name_(name) {
-  if (!watchdog_enabled()) return;
-  registered_ = true;
-  phase_ns_.store(obs::detail::now_ns(), std::memory_order_relaxed);
-  register_source(this);
-}
-
-PhaseSource::~PhaseSource() {
-  if (registered_) unregister_source(this);
-}
-
-void PhaseSource::phase(const char* tag, int device) {
-  FMMFFT_FLIGHT(Stage, device < 0 ? 0 : device, 0, tag);
-  if (!registered_) return;
-  char buf[32] = {};
-  std::strncpy(buf, tag, sizeof buf - 1);
-  std::uint64_t words[4];
-  std::memcpy(words, buf, sizeof buf);
-  label_ver_.fetch_add(1, std::memory_order_release);  // odd: mid-write
-  for (int i = 0; i < 4; ++i) label_[i].store(words[i], std::memory_order_relaxed);
-  device_.store(device, std::memory_order_relaxed);
-  phase_ns_.store(obs::detail::now_ns(), std::memory_order_relaxed);
-  label_ver_.fetch_add(1, std::memory_order_release);  // even: consistent
-  beats_.fetch_add(1, std::memory_order_release);
-}
-
-std::string PhaseSource::describe_stall() const {
-  char buf[33] = {};
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    const std::uint32_t v1 = label_ver_.load(std::memory_order_acquire);
-    if (v1 % 2) continue;
-    std::uint64_t words[4];
-    for (int i = 0; i < 4; ++i) words[i] = label_[i].load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (label_ver_.load(std::memory_order_relaxed) != v1) continue;
-    std::memcpy(buf, words, sizeof words);
-    break;
-  }
-  std::ostringstream os;
-  const std::uint64_t entered = phase_ns_.load(std::memory_order_relaxed);
-  os << "  " << name_ << ": " << beats_.load(std::memory_order_relaxed)
-     << " stage beats; stuck in phase '" << (buf[0] ? buf : "(none)") << "'";
-  const int dev = device_.load(std::memory_order_relaxed);
-  if (dev >= 0) os << " (device " << dev << ")";
-  os << ", entered " << (obs::detail::now_ns() - entered) / 1000000 << " ms ago";
-  return os.str();
 }
 
 // ---------------------------------------------------------------------------

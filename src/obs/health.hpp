@@ -7,17 +7,17 @@
 // disabled):
 //
 //  * Flight recorder — per-thread lock-free rings of the last
-//    kFlightCapacity compact events (task start/finish, stage beats, comm
-//    chunks, marks). Unlike the span Recorder's fill-once lanes these rings
+//    kFlightCapacity compact events (task start/finish, comm chunks,
+//    marks). Unlike the span Recorder's fill-once lanes these rings
 //    wrap, so the *most recent* history is always available, and every slot
 //    is a seqlocked bundle of relaxed atomics: dumping a ring mid-flight —
 //    even from a signal handler — is race-free and never blocks a writer.
 //    FMMFFT_FLIGHT=1, or armed automatically with the watchdog/postmortem.
 //
 //  * Watchdog — a background thread polling registered Sources (the
-//    exec::TaskGraph while it runs, the distributed drivers' serial loops
-//    via PhaseSource). A source whose progress counter does not advance for
-//    FMMFFT_WATCHDOG_MS fires the watchdog: the source's describe_stall()
+//    exec::TaskGraph while it runs; every distributed driver runs one, in
+//    both exec modes). A source whose progress counter does not advance
+//    for FMMFFT_WATCHDOG_MS fires the watchdog: the source's describe_stall()
 //    walks its state to name the stuck task, its stage/device/lane, and the
 //    unfinished dependency chain blocking it; the verdict goes to stderr,
 //    last_verdict(), and a postmortem dump.
@@ -73,7 +73,6 @@ enum class Ev : std::uint8_t {
   TaskStart = 3,   ///< a = task id, lane = graph lane, tag = span prefix
   TaskEnd = 4,     ///< a = task id
   TaskFail = 5,    ///< a = task id (body threw)
-  Stage = 6,       ///< serial-driver stage beat: a = device, tag = stage
   Comm = 7,        ///< fabric transfer: a = chunk/elems id, tag = link tag
   Fault = 8,       ///< injected fault triggered: a = task id
 };
@@ -144,38 +143,6 @@ std::uint64_t watchdog_deadline_ms();
 std::uint64_t watchdog_fires();
 /// Copy of the most recent stall verdict ("" if none fired yet).
 std::string last_verdict();
-
-/// Stage-beat source for serial driver loops: phase() bumps progress and
-/// records the label/device, so a stall is attributed to the exact stage
-/// loop that stopped advancing. Registration happens only while the
-/// watchdog is enabled; a disabled construction costs two relaxed loads.
-class PhaseSource : public Source {
- public:
-  explicit PhaseSource(const char* name);
-  ~PhaseSource() override;
-  PhaseSource(const PhaseSource&) = delete;
-  PhaseSource& operator=(const PhaseSource&) = delete;
-
-  /// Enter a phase: one beat per (stage, device) step of the serial loops.
-  /// Also emits an Ev::Stage flight event.
-  void phase(const char* tag, int device = -1);
-
-  const char* source_name() const override { return name_; }
-  std::uint64_t progress() const override {
-    return beats_.load(std::memory_order_relaxed);
-  }
-  std::string describe_stall() const override;
-
- private:
-  const char* name_;
-  bool registered_ = false;
-  std::atomic<std::uint64_t> beats_{0};
-  std::atomic<std::uint64_t> phase_ns_{0};  ///< entry time of current phase
-  std::atomic<int> device_{-1};
-  // Seqlocked label: version odd while the writer is mid-copy.
-  std::atomic<std::uint32_t> label_ver_{0};
-  std::atomic<std::uint64_t> label_[4] = {};  ///< 32 label chars
-};
 
 // ---------------------------------------------------------------------------
 // Span sampler

@@ -181,9 +181,9 @@ TEST(Collectives, Allgather) {
   EXPECT_DOUBLE_EQ(fabric.total_bytes(), g * (g - 1.0) * slab * sizeof(double));
 }
 
-// Every exchange builder, executed three ways on the same input: Exchange::run
-// (the serial drivers), Exchange::submit + TaskGraph::run (the async
-// drivers), and an independent oracle — the staged all-to-all for the
+// Every exchange builder, executed three ways on the same input:
+// Exchange::run, Exchange::submit + TaskGraph::run (a driver's task graph),
+// and an independent oracle — the staged all-to-all for the
 // Π_{M,P} builders, the x→z pencil index map for the 3D pencil pair. All
 // three must agree byte for byte, and run and submit must put the same
 // bytes on every (src, dst) link.

@@ -172,6 +172,7 @@ TEST(Dist3d, TrafficExactToModelBothDecomps) {
   fill_uniform(x.data(), n0 * n1 * n2, 3);
   {
     TrafficSession s;
+    exec::ScopedMode sm(exec::Mode::Serial);
     Dist3dFft<double> slab(n0, n1, n2, 4, model::Decomp::Slab);
     slab.execute(x.data(), y.data());
     const auto rep = obs::compare_fft3d_traffic(n0, n1, n2, 4, sizeof(double), 1);
@@ -179,14 +180,15 @@ TEST(Dist3d, TrafficExactToModelBothDecomps) {
   }
   {
     TrafficSession s;
+    exec::ScopedMode sm(exec::Mode::Serial);
     Dist3dFft<double> pencil(n0, n1, n2, 4, model::Decomp::Pencil, {2, 2});
     pencil.execute(x.data(), y.data());
     const auto rep = obs::compare_fft3d_traffic(n0, n1, n2, 4, sizeof(double), 1, 2, 2);
     EXPECT_TRUE(rep.all_ok()) << rep.to_string();
   }
   {
-    // The ledger totals are executor-invariant: the async graph must
-    // account byte-for-byte what the serial path does.
+    // The ledger totals are executor-invariant: the graph drained on the
+    // pool must account byte-for-byte what the serial drain does.
     TrafficSession s;
     exec::ScopedMode sm(exec::Mode::Async);
     Dist3dFft<double> pencil(n0, n1, n2, 4, model::Decomp::Pencil, {2, 2});

@@ -1,13 +1,18 @@
 // Tests for the exec:: task-graph executor and the bit-identity guarantee
-// of the async distributed drivers: dependency semantics (diamond), ordered
-// per-lane FIFO, exception propagation with cancellation, and byte-for-byte
-// serial-vs-async agreement of DistFmmFft / Dist2dFft at g = 1, 2, 4.
+// of the distributed drivers' graphs: dependency semantics (diamond),
+// ordered per-lane FIFO, exception propagation with cancellation, the
+// Serial-mode calling-thread drain, and byte-for-byte serial-vs-async
+// agreement of DistFmmFft / Dist2dFft at g = 1, 2, 4.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <complex>
 #include <cstring>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -123,6 +128,57 @@ TEST(TaskGraph, SpanNamesCarryStagePrefix) {
   EXPECT_EQ(g.records()[(std::size_t)bb].span, "bare");
 }
 
+TEST(TaskGraph, SerialModeDrainsOnCallingThreadAndKeepsThePool) {
+  // Serial mode drains the graph on the calling thread alone, in dependency
+  // order, as a plain loop rather than a pool task: a task body's own
+  // parallel_for still splits across the pool's workers.
+  ScopedMode sm(Mode::Serial);
+  ASSERT_TRUE(drains_inline());
+  auto& pool = ThreadPool::global();
+  const std::thread::id caller = std::this_thread::get_id();
+  TaskGraph g(2);
+  std::vector<std::thread::id> ran_on;
+  auto body = [&] { ran_on.push_back(std::this_thread::get_id()); };
+  std::mutex mu;
+  std::set<int> chunk_workers;
+  bool nested_in_task = true;
+  const TaskId a = g.submit("a", {0, true, "t"}, body);
+  const TaskId bb = g.submit("b", {1, false, "t"}, body, {a});
+  const TaskId cc = g.submit("c", {1, false, "t"}, [&] {
+    body();
+    nested_in_task = ThreadPool::in_task();
+    // Each chunk waits until a second thread has taken one, so a pool of
+    // two or more workers must run the chunks on more than one thread.
+    std::atomic<int> arrived{0};
+    parallel_for(
+        index_t(8),
+        [&](index_t, index_t) {
+          arrived.fetch_add(1);
+          const auto t0 = std::chrono::steady_clock::now();
+          while (pool.workers() > 1 && arrived.load() < 2 &&
+                 std::chrono::steady_clock::now() - t0 < std::chrono::seconds(10))
+            std::this_thread::yield();
+          std::lock_guard<std::mutex> lk(mu);
+          chunk_workers.insert(ThreadPool::current_worker());
+        },
+        /*grain=*/1);
+  });
+  const TaskId d = g.submit("d", {0, true, "t"}, body, {bb, cc});
+  g.run();
+
+  ASSERT_EQ(ran_on.size(), 4u);
+  for (const std::thread::id& t : ran_on) EXPECT_EQ(t, caller);
+  const auto& rec = g.records();
+  for (const TaskRecord& r : rec) EXPECT_EQ(r.worker, 0);
+  EXPECT_LT(rec[(std::size_t)a].run_seq, rec[(std::size_t)bb].run_seq);
+  EXPECT_LT(rec[(std::size_t)bb].run_seq, rec[(std::size_t)d].run_seq);
+  EXPECT_LT(rec[(std::size_t)cc].run_seq, rec[(std::size_t)d].run_seq);
+  EXPECT_FALSE(nested_in_task);
+  if (pool.workers() > 1) {
+    EXPECT_GE(chunk_workers.size(), 2u);
+  }
+}
+
 TEST(Mode, ScopedOverrideRestores) {
   const Mode outer = mode();
   {
@@ -135,28 +191,6 @@ TEST(Mode, ScopedOverrideRestores) {
     EXPECT_EQ(mode(), Mode::Serial);
   }
   EXPECT_EQ(mode(), outer);
-}
-
-TEST(Mode, AutoResolvesByWorkFloor) {
-  // Auto picks the serial driver below the per-device work floor (where the
-  // graph's submit/run overhead beats the overlap) and the executor at or
-  // above it; explicit modes pass through resolve_mode untouched.
-  const index_t floor = auto_work_floor();
-  ASSERT_GT(floor, 0);
-  {
-    ScopedMode sm(Mode::Auto);
-    EXPECT_EQ(resolve_mode(floor - 1), Mode::Serial);
-    EXPECT_EQ(resolve_mode(floor), Mode::Async);
-    EXPECT_EQ(resolve_mode(0), Mode::Serial);
-  }
-  {
-    ScopedMode sm(Mode::Serial);
-    EXPECT_EQ(resolve_mode(index_t(1) << 30), Mode::Serial);
-  }
-  {
-    ScopedMode sm(Mode::Async);
-    EXPECT_EQ(resolve_mode(0), Mode::Async);
-  }
 }
 
 TEST(DeviceLanes, NumberingIsDisjoint) {

@@ -36,6 +36,8 @@ namespace health = fmmfft::obs::health;
 namespace env = fmmfft::obs::env;
 using fmmfft::ThreadPool;
 using fmmfft::exec::DeviceLanes;
+using fmmfft::exec::Mode;
+using fmmfft::exec::ScopedMode;
 using fmmfft::exec::TaskGraph;
 using fmmfft::exec::TaskId;
 
@@ -254,64 +256,54 @@ TEST(Watchdog, FiresOnSilentSource) {
   EXPECT_NE(health::last_verdict().find("tick source stalled"), std::string::npos);
 }
 
-TEST(Watchdog, PhaseSourceAttributesStageAndDevice) {
-  HealthQuiesce q;
-  health::enable_watchdog(50);
-  const std::uint64_t fires_before = health::watchdog_fires();
-  {
-    health::PhaseSource hb("test.phases");
-    hb.phase("m2l", 2);
-    for (int i = 0; i < 100 && health::watchdog_fires() == fires_before; ++i) sleep_ms(10);
-  }
-  EXPECT_GT(health::watchdog_fires(), fires_before);
-  const std::string v = health::last_verdict();
-  EXPECT_NE(v.find("test.phases"), std::string::npos) << v;
-  EXPECT_NE(v.find("'m2l'"), std::string::npos) << v;
-  EXPECT_NE(v.find("device 2"), std::string::npos) << v;
-}
-
 TEST(Watchdog, InjectedGraphStallIsAttributedWithChain) {
-  HealthQuiesce q;
-  const std::string pm = "test_health.watchdog.postmortem.json";
-  std::remove(pm.c_str());
-  health::set_postmortem_path(pm);
-  health::enable_watchdog(60);
-  const std::uint64_t fires_before = health::watchdog_fires();
+  // Serial mode drains the graph on the calling thread; the verdict must
+  // name the same stuck task, stage and device lane as on the pool.
+  for (const Mode mode : {Mode::Serial, Mode::Async}) {
+    SCOPED_TRACE(mode == Mode::Serial ? "serial" : "async");
+    ScopedMode sm(mode);
+    HealthQuiesce q;
+    const std::string pm = "test_health.watchdog.postmortem.json";
+    std::remove(pm.c_str());
+    health::set_postmortem_path(pm);
+    health::enable_watchdog(60);
+    const std::uint64_t fires_before = health::watchdog_fires();
 
-  DeviceLanes lanes(2);
-  TaskGraph g(lanes.count());
-  g.name_lanes(lanes);
-  // stall -> chain of dependents across lanes; the stalled task blocks all.
-  const TaskId stall =
-      g.submit("stall d0", {lanes.compute(0), true, "fmm"}, [] {});
-  const TaskId copy = g.submit("halo 0->1", {lanes.copy(0, 1), true, "sync"},
-                               [] {}, {stall});
-  g.submit("m2l d1", {lanes.compute(1), true, "fmm"}, [] {}, {copy});
-  fmmfft::exec::inject_stall(stall, 900);
+    DeviceLanes lanes(2);
+    TaskGraph g(lanes.count());
+    g.name_lanes(lanes);
+    // stall -> chain of dependents across lanes; the stalled task blocks all.
+    const TaskId stall =
+        g.submit("stall d0", {lanes.compute(0), true, "fmm"}, [] {});
+    const TaskId copy = g.submit("halo 0->1", {lanes.copy(0, 1), true, "sync"},
+                                 [] {}, {stall});
+    g.submit("m2l d1", {lanes.compute(1), true, "fmm"}, [] {}, {copy});
+    fmmfft::exec::inject_stall(stall, 900);
 
-  ThreadPool pool(2);
-  g.run(pool);  // completes after the injected stall elapses
+    ThreadPool pool(2);
+    g.run(pool);  // completes after the injected stall elapses
 
-  EXPECT_GT(health::watchdog_fires(), fires_before);
-  const std::string v = health::last_verdict();
-  EXPECT_NE(v.find("exec.TaskGraph"), std::string::npos) << v;
-  EXPECT_NE(v.find("'fmm:stall d0'"), std::string::npos) << v;
-  EXPECT_NE(v.find("stage 'fmm'"), std::string::npos) << v;
-  EXPECT_NE(v.find("compute d0"), std::string::npos) << v;
-  // The unfinished dependency chain behind the stuck task, lane-attributed.
-  EXPECT_NE(v.find("blocked chain"), std::string::npos) << v;
-  EXPECT_NE(v.find("'sync:halo 0->1'"), std::string::npos) << v;
-  EXPECT_NE(v.find("copy 0->1"), std::string::npos) << v;
+    EXPECT_GT(health::watchdog_fires(), fires_before);
+    const std::string v = health::last_verdict();
+    EXPECT_NE(v.find("exec.TaskGraph"), std::string::npos) << v;
+    EXPECT_NE(v.find("'fmm:stall d0'"), std::string::npos) << v;
+    EXPECT_NE(v.find("stage 'fmm'"), std::string::npos) << v;
+    EXPECT_NE(v.find("compute d0"), std::string::npos) << v;
+    // The unfinished dependency chain behind the stuck task, lane-attributed.
+    EXPECT_NE(v.find("blocked chain"), std::string::npos) << v;
+    EXPECT_NE(v.find("'sync:halo 0->1'"), std::string::npos) << v;
+    EXPECT_NE(v.find("copy 0->1"), std::string::npos) << v;
 
-  // The watchdog emitted a postmortem naming the same stall.
-  const std::string dump = read_file(pm);
-  ASSERT_FALSE(dump.empty());
-  EXPECT_TRUE(fmmfft::testing::JsonValidator(dump).valid());
-  EXPECT_NE(dump.find("fmmfft.postmortem.v1"), std::string::npos);
-  EXPECT_NE(dump.find("watchdog"), std::string::npos);
-  EXPECT_NE(dump.find("stall d0"), std::string::npos);
-  EXPECT_NE(dump.find("compute d0"), std::string::npos);
-  std::remove(pm.c_str());
+    // The watchdog emitted a postmortem naming the same stall.
+    const std::string dump = read_file(pm);
+    ASSERT_FALSE(dump.empty());
+    EXPECT_TRUE(fmmfft::testing::JsonValidator(dump).valid());
+    EXPECT_NE(dump.find("fmmfft.postmortem.v1"), std::string::npos);
+    EXPECT_NE(dump.find("watchdog"), std::string::npos);
+    EXPECT_NE(dump.find("stall d0"), std::string::npos);
+    EXPECT_NE(dump.find("compute d0"), std::string::npos);
+    std::remove(pm.c_str());
+  }
 }
 
 TEST(Watchdog, SlowButProgressingGraphDoesNotFire) {
