@@ -23,6 +23,15 @@ Buffer<T> cast_buffer(const std::vector<double>& src) {
   return dst;
 }
 
+/// Cast a row-major table of `width` columns (S2T, M2L) into the layout the
+/// accumulate tile reads (simd::pack_table).
+template <typename T>
+Buffer<T> cast_tile_table(const std::vector<double>& src, index_t width) {
+  Buffer<T> dst(static_cast<index_t>(src.size()));
+  simd::pack_table(src.data(), dst.size() / width, width, dst.data());
+  return dst;
+}
+
 /// Ledger scope for a non-Copy stage: fold the per-level "-<digits>"
 /// suffix ("M2M-7" -> "fmm.M2M") so launches of one kernel aggregate;
 /// "M2L-B" keeps its suffix (distinct operator and traffic shape).
@@ -88,7 +97,7 @@ Engine<T>::Engine(const Params& prm, int components, index_t g, index_t rank)
 
   s2m_op_ = cast_buffer<T>(s2m_matrix(prm_.q, prm_.ml));
   m2m_op_ = cast_buffer<T>(m2m_matrix(prm_.q));
-  s2t_tab_ = cast_buffer<T>(s2t_table(prm_, c_));
+  s2t_tab_ = cast_tile_table<T>(s2t_table(prm_, c_), cp_);
   ones_q_ = Buffer<T>(prm_.q * prm_.boxes(prm_.b));
   ones_q_.fill(T(1));
 
@@ -97,12 +106,13 @@ Engine<T>::Engine(const Params& prm, int components, index_t g, index_t rank)
   // enough to cache (otherwise m2l_operator builds them per call).
   for (int lev = prm_.b + 1; lev <= prm_.l(); ++lev)
     for (index_t sep : level_separations())
-      m2l_cache_.emplace(std::make_pair(lev, sep), cast_buffer<T>(m2l_table(prm_, lev, sep, c_)));
+      m2l_cache_.emplace(std::make_pair(lev, sep),
+                         cast_tile_table<T>(m2l_table(prm_, lev, sep, c_), cpm_));
   const index_t base_boxes = prm_.boxes(prm_.b);
   if (base_boxes <= 32) {
     for (index_t sep = 2; sep <= base_boxes - 2; ++sep)
       m2l_cache_.emplace(std::make_pair(prm_.b, sep),
-                         cast_buffer<T>(m2l_table(prm_, prm_.b, sep, c_)));
+                         cast_tile_table<T>(m2l_table(prm_, prm_.b, sep, c_), cpm_));
   }
   // Larger base levels build their slabs on first use into the keyed LRU
   // (m2l_operator), so repeated executes of one plan pay the build once.
@@ -234,31 +244,25 @@ template <typename T>
 void Engine<T>::s2t() {
   FMMFFT_SPAN("S2T");
   WallTimer stage_timer_;
-  // T_pib += S2T_{p(j-i)} S_pjb over the three-box neighbourhood; the p=0
-  // table slice is the identity, performing the C_0 = I copy in the same
-  // sweep. Operator entries come from the precomputed Toeplitz table.
-  // Blocked over the flattened component-by-p dimension so the active
-  // slice of the Toeplitz table stays cache-resident across all boxes.
+  // T_pib += S2T_{p(j-i)} S_pjb over the three-box neighbourhood j in
+  // [-M_L, 2·M_L), j ascending; the p=0 table slice is the identity,
+  // performing the C_0 = I copy in the same sweep. Table row k = j - i +
+  // 2·M_L - 1 falls as i rises, so the tile walks it with Step -1 from
+  // k0 = M_L - 1 (target row 0, source row -M_L).
   const index_t ml = prm_.ml;
-  constexpr index_t kPcw = 64;
-  // Boxes are independent targets: share them across the pool; within a
-  // worker's range, block pc so the active table slice stays cached. The
-  // inner pc stream is the shared SIMD mul-accumulate (this TU builds with
-  // contraction off, so it is bit-identical to the scalar reference loop).
+  const simd::TileShape sh{
+      .rows = ml, .ld = cp_, .nj = 3 * ml, .nk = 4 * ml - 1, .k0 = ml - 1, .tab_ld = 1};
+  // Boxes are independent targets: share them across the pool. Within a
+  // worker's range the vector column is the outer loop, so its 4·M_L-1
+  // table rows stay L1-resident across the boxes.
   parallel_for(
       nb_leaf_,
       [&](index_t b_lo, index_t b_hi) {
-        for (index_t pc0 = 0; pc0 < cp_; pc0 += kPcw) {
-          const index_t w = std::min(kPcw, cp_ - pc0);
+        for (index_t c = 0, w = 0; c < cp_; c += w) {
+          w = simd::column_width<T>(cp_ - c);
           for (index_t b = b_lo; b < b_hi; ++b) {
-            const T* sb = source_box(b) + pc0;
-            T* tb = target_box(b) + pc0;
-            for (index_t i = 0; i < ml; ++i) {
-              T* trow = tb + cp_ * i;
-              for (index_t j = -ml; j < 2 * ml; ++j)
-                simd::mul_add_stream(trow, s2t_tab_.data() + (j - i + 2 * ml - 1) * cp_ + pc0,
-                                     sb + cp_ * j, w);
-            }
+            const simd::TileTerm<T> term{source_box(b - 1), s2t_tab_.data()};
+            simd::mul_add_tiles<-1>(target_box(b), sh, &term, 1, c, w);
           }
         }
       },
@@ -275,34 +279,6 @@ void Engine<T>::s2t() {
 }
 
 template <typename T>
-void Engine<T>::s2t_reference() {
-  // Pre-SIMD S2T: same blocking and per-element accumulation order, scalar
-  // inner loop. Identity oracle for s2t(); records no stats.
-  const index_t ml = prm_.ml;
-  constexpr index_t kPcw = 64;
-  parallel_for(
-      nb_leaf_,
-      [&](index_t b_lo, index_t b_hi) {
-        for (index_t pc0 = 0; pc0 < cp_; pc0 += kPcw) {
-          const index_t w = std::min(kPcw, cp_ - pc0);
-          for (index_t b = b_lo; b < b_hi; ++b) {
-            const T* sb = source_box(b) + pc0;
-            T* tb = target_box(b) + pc0;
-            for (index_t i = 0; i < ml; ++i) {
-              T* trow = tb + cp_ * i;
-              for (index_t j = -ml; j < 2 * ml; ++j) {
-                const T* srow = sb + cp_ * j;
-                const T* tab = s2t_tab_.data() + (j - i + 2 * ml - 1) * cp_ + pc0;
-                for (index_t pc = 0; pc < w; ++pc) trow[pc] += tab[pc] * srow[pc];
-              }
-            }
-          }
-        }
-      },
-      /*grain=*/1);
-}
-
-template <typename T>
 const T* Engine<T>::m2l_operator(int level, index_t s) {
   auto it = m2l_cache_.find({level, s});
   if (it != m2l_cache_.end()) return it->second.data();
@@ -316,47 +292,13 @@ const T* Engine<T>::m2l_operator(int level, index_t s) {
     return m2l_lru_.front().second.data();
   }
   FMMFFT_COUNT("fmm.m2l_slab_builds", 1);
-  m2l_lru_.emplace_front(key, cast_buffer<T>(m2l_table(prm_, level, s, c_)));
+  m2l_lru_.emplace_front(key, cast_tile_table<T>(m2l_table(prm_, level, s, c_), cpm_));
   m2l_lru_pos_[key] = m2l_lru_.begin();
   if (m2l_lru_.size() > kM2lLruCapacity) {
     m2l_lru_pos_.erase(m2l_lru_.back().first);
     m2l_lru_.pop_back();
   }
   return m2l_lru_.front().second.data();
-}
-
-template <typename T>
-void Engine<T>::apply_m2l(int level, index_t s, const T* tab, bool base) {
-  // Blocked over the flattened component-by-p dimension: the active
-  // Q×Q×kPcw operator slice stays cache-resident while streaming boxes.
-  const index_t q = prm_.q, nbl = local_boxes(level), off = box_offset(level);
-  const index_t nb_global = prm_.boxes(level);
-  constexpr index_t kPcw = 64;
-  // Boxes are independent targets: share across the pool, block pc inside.
-  parallel_for(
-      nbl,
-      [&](index_t b_lo, index_t b_hi) {
-        for (index_t pc0 = 0; pc0 < cpm_; pc0 += kPcw) {
-          const index_t w = std::min(kPcw, cpm_ - pc0);
-          for (index_t b = b_lo; b < b_hi; ++b) {
-            const index_t gb = off + b;
-            if (!base && !separation_applies(s, gb % 2 != 0)) continue;
-            const T* msrc = (base ? multipole_box(level, mod(gb + s, nb_global))
-                                  : multipole_box(level, b + s)) +
-                            pc0;
-            T* ldst = local_box(level, b) + pc0;
-            for (index_t i = 0; i < q; ++i) {
-              T* lrow = ldst + cpm_ * i;
-              for (index_t j = 0; j < q; ++j) {
-                const T* trow = tab + (i + q * j) * cpm_ + pc0;
-                const T* mrow = msrc + cpm_ * j;
-                for (index_t pc = 0; pc < w; ++pc) lrow[pc] += trow[pc] * mrow[pc];
-              }
-            }
-          }
-        }
-      },
-      /*grain=*/1);
 }
 
 template <typename T>
@@ -367,31 +309,24 @@ void Engine<T>::m2l_level(int level) {
   const index_t q = prm_.q, nbl = local_boxes(level), off = box_offset(level);
   const auto& seps = level_separations();
   const auto& ops = m2l_level_ops_[(std::size_t)(level - prm_.b - 1)];
-  constexpr index_t kPcw = 64;
-  // All cousin separations fused into one pass per box: each box's L and M
-  // rows are streamed once instead of once per separation. Per L element the
-  // additions still run separation-major (ascending, the level_separations
-  // order restricted to this parity), j-minor — exactly the order of the
-  // per-separation reference passes, so results are bit-identical.
+  const simd::TileShape sh{.rows = q, .ld = cpm_, .nj = q, .nk = q * q, .k0 = 0, .tab_ld = q};
+  // L_i += Σ_j M2L_s(i + Q·j) ∘ M^ℓ row j of box b + s, over the box's three
+  // cousin separations. All three accumulate in one register residency of
+  // the L rows; per L element the additions run separation-major in
+  // level_separations() order restricted to the box's parity, j-minor.
   parallel_for(
       nbl,
       [&](index_t b_lo, index_t b_hi) {
-        for (index_t pc0 = 0; pc0 < cpm_; pc0 += kPcw) {
-          const index_t w = std::min(kPcw, cpm_ - pc0);
+        for (index_t c = 0, w = 0; c < cpm_; c += w) {
+          w = simd::column_width<T>(cpm_ - c);
           for (index_t b = b_lo; b < b_hi; ++b) {
             const bool odd = (off + b) % 2 != 0;
-            T* ldst = local_box(level, b) + pc0;
-            for (std::size_t kk = 0; kk < seps.size(); ++kk) {
-              if (!separation_applies(seps[kk], odd)) continue;
-              const T* msrc = multipole_box(level, b + seps[kk]) + pc0;
-              const T* tab = ops[kk];
-              for (index_t i = 0; i < q; ++i) {
-                T* lrow = ldst + cpm_ * i;
-                for (index_t j = 0; j < q; ++j)
-                  simd::mul_add_stream(lrow, tab + (i + q * j) * cpm_ + pc0, msrc + cpm_ * j,
-                                       w);
-              }
-            }
+            std::array<simd::TileTerm<T>, kNumCousins> terms;
+            index_t nterms = 0;
+            for (std::size_t kk = 0; kk < seps.size(); ++kk)
+              if (separation_applies(seps[kk], odd))
+                terms[(std::size_t)nterms++] = {multipole_box(level, b + seps[kk]), ops[kk]};
+            simd::mul_add_tiles<1>(local_box(level, b), sh, terms.data(), nterms, c, w);
           }
         }
       },
@@ -417,52 +352,43 @@ void Engine<T>::m2l_base() {
   const index_t q = prm_.q, nbl = local_boxes(prm_.b), off = box_offset(prm_.b);
   const index_t nb_global = prm_.boxes(prm_.b);
   const index_t nsep = std::max<index_t>(nb_global - 3, 0);  // s in [2, 2^B-2]
-  // Resolve every separation's operator slab up front (precomputed cache or
-  // LRU) so the separation loop fuses per box: L^B rows stream once instead
-  // of once per separation. When the slabs outnumber the LRU capacity they
-  // cannot all stay pinned — fall back to one pass per separation, building
-  // each slab on the fly (the pre-LRU behavior).
-  if (nsep > 0 && std::size_t(nsep) <= kM2lLruCapacity) {
-    std::vector<const T*> ops((std::size_t)nsep);
-    for (index_t s = 2; s <= nb_global - 2; ++s) {
-      const T* tab = m2l_base_ops_.empty() ? nullptr : m2l_base_ops_[(std::size_t)(s - 2)];
-      ops[(std::size_t)(s - 2)] = tab ? tab : m2l_operator(prm_.b, s);
+  const simd::TileShape sh{.rows = q, .ld = cpm_, .nj = q, .nk = q * q, .k0 = 0, .tab_ld = q};
+  // One separation over boxes [b_lo, b_hi): column-outer, so the slab's
+  // active vector column stays L1-resident across the boxes. Boxes and
+  // columns are disjoint targets, so running separations in ascending order
+  // keeps each L element's additions s-ascending, j-minor.
+  auto sweep = [&](index_t b_lo, index_t b_hi, index_t s, const T* tab) {
+    for (index_t c = 0, w = 0; c < cpm_; c += w) {
+      w = simd::column_width<T>(cpm_ - c);
+      for (index_t b = b_lo; b < b_hi; ++b) {
+        const simd::TileTerm<T> term{multipole_box(prm_.b, mod(off + b + s, nb_global)), tab};
+        simd::mul_add_tiles<1>(local_box(prm_.b, b), sh, &term, 1, c, w);
+      }
     }
-    constexpr index_t kPcw = 64;
-    // Separation-major sweep: one operator slab streams across every box
-    // before moving to the next, so the active Q×Q×kPcw slice stays
-    // cache-resident (a box-major fusion would cycle all nsep slabs per box
-    // and thrash once their combined footprint exceeds L2 — measurably
-    // slower at 2^B = 64). Boxes and pc blocks are disjoint targets, so per
-    // L element the additions still run s-ascending, j-minor — the same
-    // order as the per-separation reference passes (bit-identical). One
-    // parallel_for replaces the reference's nsep pool forks.
+  };
+  auto slab = [&](index_t s) {
+    const T* tab = m2l_base_ops_.empty() ? nullptr : m2l_base_ops_[(std::size_t)(s - 2)];
+    return tab ? tab : m2l_operator(prm_.b, s);
+  };
+  // Resolve every separation's operator slab up front (precomputed cache or
+  // LRU) so one parallel_for sweeps them all, separation-major. When the
+  // slabs outnumber the LRU capacity they cannot all stay pinned: then each
+  // separation builds its slab on the fly and sweeps the boxes on its own.
+  if (std::size_t(nsep) <= kM2lLruCapacity) {
+    std::vector<const T*> ops((std::size_t)nsep);
+    for (index_t s = 2; s <= nb_global - 2; ++s) ops[(std::size_t)(s - 2)] = slab(s);
     parallel_for(
         nbl,
         [&](index_t b_lo, index_t b_hi) {
-          for (index_t s = 2; s <= nb_global - 2; ++s) {
-            const T* tab = ops[(std::size_t)(s - 2)];
-            for (index_t pc0 = 0; pc0 < cpm_; pc0 += kPcw) {
-              const index_t w = std::min(kPcw, cpm_ - pc0);
-              for (index_t b = b_lo; b < b_hi; ++b) {
-                const index_t gb = off + b;
-                const T* msrc = multipole_box(prm_.b, mod(gb + s, nb_global)) + pc0;
-                T* ldst = local_box(prm_.b, b) + pc0;
-                for (index_t i = 0; i < q; ++i) {
-                  T* lrow = ldst + cpm_ * i;
-                  for (index_t j = 0; j < q; ++j)
-                    simd::mul_add_stream(lrow, tab + (i + q * j) * cpm_ + pc0, msrc + cpm_ * j,
-                                         w);
-                }
-              }
-            }
-          }
+          for (index_t s = 2; s <= nb_global - 2; ++s)
+            sweep(b_lo, b_hi, s, ops[(std::size_t)(s - 2)]);
         },
         /*grain=*/1);
-  } else if (nsep > 0) {
+  } else {
     for (index_t s = 2; s <= nb_global - 2; ++s) {
-      const T* tab = m2l_base_ops_.empty() ? nullptr : m2l_base_ops_[(std::size_t)(s - 2)];
-      apply_m2l(prm_.b, s, tab ? tab : m2l_operator(prm_.b, s), true);
+      const T* tab = slab(s);
+      parallel_for(
+          nbl, [&](index_t b_lo, index_t b_hi) { sweep(b_lo, b_hi, s, tab); }, /*grain=*/1);
     }
   }
   // Mops: the gathered global M^B streams once, L^B accumulates.
@@ -476,27 +402,6 @@ void Engine<T>::m2l_base() {
                double(sizeof(T)) *
                    (double(cpm_ * q * nbl) + double(cpm_ * q * nb_global)),
                double(sizeof(T)) * double(cpm_ * q * nbl));
-}
-
-template <typename T>
-void Engine<T>::m2l_level_reference(int level) {
-  // Pre-fusion cousin M2L: one apply_m2l pass per separation. Identity
-  // oracle for m2l_level(); records no stats.
-  FMMFFT_CHECK(level > prm_.b && level <= prm_.l());
-  const auto& seps = level_separations();
-  const auto& ops = m2l_level_ops_[(std::size_t)(level - prm_.b - 1)];
-  for (std::size_t k = 0; k < seps.size(); ++k) apply_m2l(level, seps[k], ops[k], false);
-}
-
-template <typename T>
-void Engine<T>::m2l_base_reference() {
-  // Pre-fusion base M2L: one apply_m2l pass per separation. Identity oracle
-  // for m2l_base(); records no stats.
-  const index_t nb_global = prm_.boxes(prm_.b);
-  for (index_t s = 2; s <= nb_global - 2; ++s) {
-    const T* tab = m2l_base_ops_.empty() ? nullptr : m2l_base_ops_[(std::size_t)(s - 2)];
-    apply_m2l(prm_.b, s, tab ? tab : m2l_operator(prm_.b, s), true);
-  }
 }
 
 template <typename T>

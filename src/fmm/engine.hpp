@@ -106,21 +106,16 @@ class Engine {
   index_t expansion_box_elems() const { return cpm_ * prm_.q; }
 
   // -- Stage execution (local compute; halos must be filled) ---------------
-  void zero();          ///< zero T, L^ℓ, M^B and copy the p=0 slice S -> T
+  void zero();          ///< zero T and every L^ℓ (S2T then copies the p=0 slice S -> T)
   void s2m();
   void m2m(int level);  ///< build level from level+1 (level in [B, L-1])
   void s2t();
   void m2l_level(int level);  ///< cousin M2L at level in [B+1, L]
   void m2l_base();
-
-  // -- Reference kernels (identity oracles for the fused/SIMD paths) -------
-  // Same tensors, same per-element accumulation order, but the pre-fusion
-  // loop structure: scalar S2T inner loop, and one pass per M2L separation
-  // instead of the per-box fused sweep. Outputs must match the fast paths
-  // bit for bit. These record no stage stats.
-  void s2t_reference();
-  void m2l_level_reference(int level);
-  void m2l_base_reference();
+  // S2T and both M2L stages add into T / L^ℓ in a fixed per-element order
+  // (S2T: source row j ascending; M2L-ℓ: separation-major, j-minor; M2L-B:
+  // s ascending, j-minor), so their outputs equal plain scalar loops in
+  // that order bit for bit; tests/test_engine.cpp keeps those loops.
   void reduce();
   void l2l(int level);  ///< push level to level+1 (level in [B, L-1])
   void l2t();
@@ -141,7 +136,6 @@ class Engine {
   }
 
  private:
-  void apply_m2l(int level, index_t s, const T* tab, bool base);
   /// M2L operator slab for (level, s), from the precomputed cache or (for
   /// large base levels where caching all 2^B-3 slabs would be prohibitive)
   /// built on the fly.
@@ -159,12 +153,15 @@ class Engine {
   index_t g_, rank_;
   index_t cp_, cpm_, nb_leaf_;
 
-  // Operators cast to working precision.
+  // Operators cast to working precision. The S2T table and every M2L slab
+  // (cache and LRU) are vector-major (simd::pack_table): the rows of one
+  // vector-wide column chunk are contiguous, and the tail chunks are as
+  // narrow as their columns, so a table holds exactly rows × width values.
   Buffer<T> s2m_op_;   // Q × M_L
   Buffer<T> m2m_op_;   // Q × 2Q
-  Buffer<T> s2t_tab_;  // (4·M_L - 1) × cp
+  Buffer<T> s2t_tab_;  // (4·M_L - 1) rows × cp columns, k = j - i + 2·M_L - 1
   Buffer<T> ones_q_;   // length Q·2^B of ones, for the reduction GEMV
-  std::map<std::pair<int, index_t>, Buffer<T>> m2l_cache_;  // (level, s)
+  std::map<std::pair<int, index_t>, Buffer<T>> m2l_cache_;  // (level, s): Q² rows × cpm
   // Keyed LRU for operator slabs outside the precomputed cache (base levels
   // with 2^B too large to cache exhaustively): front = most recent. As long
   // as the base level's 2^B - 3 slabs fit the capacity, every slab is built
@@ -177,7 +174,7 @@ class Engine {
   // Hot-path operator pointers resolved once at ctor time (map lookups are
   // off the per-call path). m2l_level_ops_[lev - B - 1][k] follows the
   // level_separations() order; m2l_base_ops_[s - 2] is null for base
-  // separations too numerous to cache (built on the fly into the scratch).
+  // separations too numerous to cache (built on first use into the LRU).
   std::vector<std::array<const T*, 4>> m2l_level_ops_;
   std::vector<const T*> m2l_base_ops_;
 

@@ -5,6 +5,7 @@
 
 #include <complex>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/math.hpp"
@@ -211,15 +212,80 @@ TEST(Engine, StatsFlopFormulas) {
   }
 }
 
-// -- Fused/SIMD kernel identity ----------------------------------------------
-// The vectorized, separation-fused S2T / M2L fast paths promise BIT-identical
-// outputs to the pre-fusion reference loops (same per-element accumulation
-// order). Two engines get identical tensor state — sources with halos,
-// every multipole level with halo boxes, the global base buffer — then one
-// runs the fast kernels and the other the references; every output tensor
-// must memcmp equal.
+// -- Kernel identity ---------------------------------------------------------
+// S2T and the M2L stages promise BIT-identical outputs to plain scalar loops
+// that add in the documented per-element order, from the public operator
+// tables cast to the working type:
+//   S2T    T row i += S2T(j - i) ∘ S row j, j ascending over [-M_L, 2·M_L);
+//   M2L-ℓ  separation-major in level_separations() order for the box's
+//          parity, j-minor;
+//   M2L-B  s ascending over [2, 2^B - 2], j-minor.
+// The oracles below are those loops over the engine's public tensor
+// accessors, so they depend on neither its table layout nor its tile. Two
+// engines get identical tensor state — sources with halos, every multipole
+// level with halo boxes, the global base buffer — then one runs the kernels
+// and the other the oracles; every output tensor must memcmp equal.
 
-void prime_pair(Engine<double>& ea, Engine<double>& eb) {
+template <typename T>
+std::vector<T> cast_table(const std::vector<double>& tab) {
+  return std::vector<T>(tab.begin(), tab.end());
+}
+
+template <typename T>
+void s2t_oracle(Engine<T>& e) {
+  const Params& prm = e.params();
+  const index_t ml = prm.ml, cp = e.cp();
+  const auto tab = cast_table<T>(s2t_table(prm, e.components()));
+  for (index_t b = 0; b < e.local_leaves(); ++b) {
+    const T* sb = e.source_box(b);
+    T* tb = e.target_box(b);
+    for (index_t i = 0; i < ml; ++i)
+      for (index_t j = -ml; j < 2 * ml; ++j)
+        for (index_t pc = 0; pc < cp; ++pc)
+          tb[i * cp + pc] += tab[std::size_t((j - i + 2 * ml - 1) * cp + pc)] * sb[j * cp + pc];
+  }
+}
+
+/// L^level box b += M2L slab `tab` applied to the multipoles at `msrc`.
+template <typename T>
+void m2l_box_oracle(Engine<T>& e, T* ldst, const T* msrc, const std::vector<T>& tab) {
+  const index_t q = e.params().q, cpm = e.cpm();
+  for (index_t i = 0; i < q; ++i)
+    for (index_t j = 0; j < q; ++j)
+      for (index_t pc = 0; pc < cpm; ++pc)
+        ldst[i * cpm + pc] += tab[std::size_t((i + q * j) * cpm + pc)] * msrc[j * cpm + pc];
+}
+
+template <typename T>
+void m2l_level_oracle(Engine<T>& e, int level) {
+  const Params& prm = e.params();
+  std::vector<std::vector<T>> tabs;
+  for (index_t s : level_separations())
+    tabs.push_back(cast_table<T>(m2l_table(prm, level, s, e.components())));
+  for (index_t b = 0; b < e.local_boxes(level); ++b) {
+    const bool odd = (e.box_offset(level) + b) % 2 != 0;
+    for (std::size_t k = 0; k < tabs.size(); ++k) {
+      const index_t s = level_separations()[k];
+      if (separation_applies(s, odd))
+        m2l_box_oracle(e, e.local_box(level, b), e.multipole_box(level, b + s), tabs[k]);
+    }
+  }
+}
+
+template <typename T>
+void m2l_base_oracle(Engine<T>& e) {
+  const Params& prm = e.params();
+  const index_t nb_global = prm.boxes(prm.b), off = e.box_offset(prm.b);
+  for (index_t s = 2; s <= nb_global - 2; ++s) {
+    const auto tab = cast_table<T>(m2l_table(prm, prm.b, s, e.components()));
+    for (index_t b = 0; b < e.local_boxes(prm.b); ++b)
+      m2l_box_oracle(e, e.local_box(prm.b, b), e.multipole_box(prm.b, mod(off + b + s, nb_global)),
+                     tab);
+  }
+}
+
+template <typename T>
+void prime_pair(Engine<T>& ea, Engine<T>& eb) {
   const Params& prm = ea.params();
   const index_t se = ea.source_box_elems(), ee = ea.expansion_box_elems();
   for (index_t b = -1; b <= ea.local_leaves(); ++b) {
@@ -240,48 +306,66 @@ void prime_pair(Engine<double>& ea, Engine<double>& eb) {
   }
 }
 
-void expect_kernels_match(const Params& prm, index_t g, index_t rank) {
-  Engine<double> ea(prm, 2, g, rank), eb(prm, 2, g, rank);
+template <typename T>
+void expect_kernels_match(const Params& prm, index_t g, index_t rank, int c) {
+  Engine<T> ea(prm, c, g, rank), eb(prm, c, g, rank);
   prime_pair(ea, eb);
   ea.s2t();
-  eb.s2t_reference();
-  const std::size_t tbytes =
-      sizeof(double) * std::size_t(ea.source_box_elems() * ea.local_leaves());
-  EXPECT_EQ(0, std::memcmp(ea.target_box(0), eb.target_box(0), tbytes))
-      << prm.to_string() << " g=" << g << " rank=" << rank << " (S2T)";
+  s2t_oracle(eb);
+  const std::string label = prm.to_string() + " c=" + std::to_string(c) +
+                            (sizeof(T) == 4 ? " f32" : " f64") + " g=" + std::to_string(g) +
+                            " rank=" + std::to_string(rank);
+  const std::size_t tbytes = sizeof(T) * std::size_t(ea.source_box_elems() * ea.local_leaves());
+  EXPECT_EQ(0, std::memcmp(ea.target_box(0), eb.target_box(0), tbytes)) << label << " (S2T)";
   for (int lev = prm.l(); lev > prm.b; --lev) {
     ea.m2l_level(lev);
-    eb.m2l_level_reference(lev);
+    m2l_level_oracle(eb, lev);
   }
   ea.m2l_base();
-  eb.m2l_base_reference();
+  m2l_base_oracle(eb);
   for (int lev = prm.b; lev <= prm.l(); ++lev) {
     const std::size_t lbytes =
-        sizeof(double) * std::size_t(ea.expansion_box_elems() * ea.local_boxes(lev));
+        sizeof(T) * std::size_t(ea.expansion_box_elems() * ea.local_boxes(lev));
     EXPECT_EQ(0, std::memcmp(ea.local_box(lev, 0), eb.local_box(lev, 0), lbytes))
-        << prm.to_string() << " g=" << g << " rank=" << rank << " (M2L level " << lev << ")";
+        << label << " (M2L level " << lev << ")";
+  }
+}
+
+/// Both precisions and both component counts.
+void expect_kernels_match_all(const Params& prm, index_t g = 1, index_t rank = 0) {
+  for (int c : {1, 2}) {
+    expect_kernels_match<double>(prm, g, rank, c);
+    expect_kernels_match<float>(prm, g, rank, c);
   }
 }
 
 TEST(EngineKernelIdentity, FusedMatchesReferenceAcrossConfigs) {
   // Deep tree with the small precomputed base (the e2e CD shape, scaled).
-  expect_kernels_match(Params{1 << 14, 64, 4, 2, 10}, 1, 0);
-  // Big base: 2^B = 64 boxes, 61 separations — the LRU-backed fused sweep.
-  expect_kernels_match(Params{1 << 14, 64, 4, 6, 10}, 1, 0);
+  expect_kernels_match_all(Params{1 << 14, 64, 4, 2, 10});
+  // Big base: 2^B = 64 boxes, 61 separations — the LRU-backed sweep.
+  expect_kernels_match_all(Params{1 << 14, 64, 4, 6, 10});
+  // P = 32 gives 31 (real) and 62 (complex) M2L columns: every column
+  // step-down and single lanes. M_L in {64, 16, 2} and Q in {17, 10, 14}
+  // reach every row block (16/8/4/2/1).
+  expect_kernels_match_all(Params{1 << 15, 32, 64, 2, 17});
+  expect_kernels_match_all(Params{1 << 13, 32, 16, 2, 10});
+  expect_kernels_match_all(Params{1 << 10, 32, 2, 3, 14});
 }
 
 TEST(EngineKernelIdentity, FusedMatchesReferenceOnDeviceSlabs) {
   // Per-device slabs shift box offsets and parities; every rank must match.
   const Params prm{index_t(1) << 16, 64, 8, 3, 14};
   for (index_t g : {index_t(1), index_t(2), index_t(4)})
-    for (index_t rank = 0; rank < g; ++rank) expect_kernels_match(prm, g, rank);
+    for (index_t rank = 0; rank < g; ++rank) expect_kernels_match<double>(prm, g, rank, 2);
+  expect_kernels_match_all(prm, 4, 3);
 }
 
 TEST(EngineKernelIdentity, BaseSeparationsBeyondLruCapacity) {
   // 2^B = 512 base boxes -> 509 separations, more than the operator LRU can
-  // pin at once: m2l_base falls back to one pass per separation and must
-  // still match the reference bit for bit.
-  expect_kernels_match(Params{4096, 4, 2, 9, 4}, 1, 0);
+  // pin at once: m2l_base builds each slab on the fly and sweeps it on its
+  // own, and must still match the oracle bit for bit. P = 4 gives S2T and
+  // M2L widths below one vector; Q = 4 one 4-row block.
+  expect_kernels_match_all(Params{4096, 4, 2, 9, 4});
 }
 
 TEST(Engine, RejectsInvalidConfigs) {
