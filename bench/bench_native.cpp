@@ -6,8 +6,10 @@
 //   * GEMM GFLOP/s — square sizes plus the FMM's tall-skinny batched shapes
 //     (m = C·P rows against Q/M_L-sized operators, §4.4–4.5)
 //   * batched FFT points/s — pow2 and Bluestein sizes at FMM-shaped batches
-//   * blocked transpose GB/s — the Plan2D / Π_{M,P} data-movement primitive
-//   * end-to-end single-node FmmFft wall seconds, serial and with the pool
+//   * blocked transpose and all-to-all GB/s — the Plan2D / Π_{M,P}
+//     data-movement primitives
+//   * S2T / M2L kernel seconds, and the ledger's bytes moved per end-to-end
+//     shape (end-to-end wall time is bench/e2e's job)
 //
 // Wall-clock numbers are machine- and load-dependent, so the committed
 // BENCH_native.json baseline is compared report-only by
@@ -15,7 +17,6 @@
 // never do). Refresh with:  build/bench/bench_native BENCH_native.json
 #include <complex>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -29,7 +30,6 @@
 #include "dist/collectives.hpp"
 #include "dist/dfft3d.hpp"
 #include "dist/dfmmfft.hpp"
-#include "exec/executor.hpp"
 #include "fft/fft.hpp"
 #include "fmm/engine.hpp"
 #include "fmm/params.hpp"
@@ -104,16 +104,6 @@ void bench_transpose(const std::string& name, index_t rows, index_t cols) {
   record(name, "gbytes_per_s", 2.0 * double(rows) * double(cols) * sizeof(Cx) / sec / 1e9, sec);
 }
 
-/// Contrast row: the pre-fusion 32×32 blocked kernel on the same shape, so
-/// the committed baselines document the cache-oblivious kernel's margin.
-void bench_transpose_ref(const std::string& name, index_t rows, index_t cols) {
-  using Cx = std::complex<double>;
-  Buffer<Cx> x(rows * cols), y(rows * cols);
-  fill_uniform(x.data(), rows * cols, 6);
-  double sec = time_best([&] { transpose_blocked_ref(x.data(), y.data(), rows, cols); });
-  record(name, "gbytes_per_s", 2.0 * double(rows) * double(cols) * sizeof(Cx) / sec / 1e9, sec);
-}
-
 void bench_transpose_inplace(const std::string& name, index_t n) {
   using Cx = std::complex<double>;
   Buffer<Cx> x(n * n);
@@ -123,8 +113,8 @@ void bench_transpose_inplace(const std::string& name, index_t n) {
   record(name, "gbytes_per_s", 2.0 * double(n) * double(n) * sizeof(Cx) / sec / 1e9, sec);
 }
 
-/// Fused zero-copy all-to-all vs the staged pack/copy/unpack reference on
-/// one representative G=4 slab geometry (payload GB/s, higher is better).
+/// Fused zero-copy all-to-all on one representative G=4 slab geometry
+/// (payload GB/s, higher is better).
 void bench_a2a(index_t m, index_t p, int g) {
   using Cx = std::complex<double>;
   sim::Fabric fabric(g);
@@ -137,16 +127,11 @@ void bench_a2a(index_t m, index_t p, int g) {
     out.push_back(bout.data() + r * slab);
   }
   const double bytes = 2.0 * double(m) * double(p) * sizeof(Cx);  // rd + wr
-  double sec = time_best([&] {
+  const double sec = time_best([&] {
     dist::all_to_all_permute_mp(fabric, in, out, m, p, "A2A-B");
     fabric.reset();
   });
   record("a2a_fused_g4", "gbytes_per_s", bytes / sec / 1e9, sec);
-  sec = time_best([&] {
-    dist::all_to_all_permute_mp_staged(fabric, in, out, m, p, "A2A-B");
-    fabric.reset();
-  });
-  record("a2a_staged_g4", "gbytes_per_s", bytes / sec / 1e9, sec);
 }
 
 /// The factorized two-phase Π_{M,P} over a 2×2 grid on the same geometry as
@@ -218,65 +203,6 @@ void bench_engine_kernels() {
   // The mixed-precision translation kernels: same shapes, fp32 operators
   // and expansions — the per-kernel speedup behind FMMFFT_PRECISION=mixed.
   bench_engine_kernels_typed<float>("_f32");
-}
-
-void bench_fmmfft_e2e() {
-  // FMM-shaped single-node run: N=2^16, P=64 interleaved FMMs of M=1024,
-  // M_L=16 (L=6), Q=14 — complex double, the paper's CD configuration.
-  const fmm::Params prm{index_t(1) << 16, 64, 16, 2, 14};
-  using Cx = std::complex<double>;
-  // Pin the precision: the rows are named fp64/mixed, so an ambient
-  // FMMFFT_PRECISION (CI's mixed leg) must not re-label them silently.
-  core::FmmFft<Cx> plan(prm, /*fuse_post=*/true, fmm::Precision::Fp64);
-  Buffer<Cx> in(prm.n), out(prm.n);
-  fill_uniform(in.data(), prm.n, 7);
-
-  {
-    ThreadPool::ScopedSerial serial;
-    double sec = time_best([&] { plan.execute(in.data(), out.data()); });
-    record("fmmfft_e2e_n16_serial", "seconds", sec, sec);
-  }
-  double sec = time_best([&] { plan.execute(in.data(), out.data()); });
-  record("fmmfft_e2e_n16_pool", "seconds", sec, sec);
-
-  // Mixed-precision contrast on the same plan and input: fp32 translation
-  // under the fp64 shell (FMMFFT_PRECISION=mixed).
-  core::FmmFft<Cx> mixed(prm, /*fuse_post=*/true, fmm::Precision::Mixed);
-  sec = time_best([&] { mixed.execute(in.data(), out.data()); });
-  record("fmmfft_e2e_n16_mixed_pool", "seconds", sec, sec);
-}
-
-/// Distributed end-to-end: the stage task graph drained on the calling
-/// thread (Serial mode) vs on the pool (Async mode), on the same DistFmmFft
-/// instance, g devices. Outputs must be byte-identical — the executor's
-/// whole point is reordering without renumbering. Returns false on a
-/// mismatch.
-bool bench_dist_e2e(int g, fmm::Precision prec = fmm::Precision::Fp64) {
-  // Shapes divide by every g in {2, 4}: m = 1024, p = 64, 8 base boxes.
-  const fmm::Params prm{index_t(1) << 16, 64, 8, 3, 14};
-  using Cx = std::complex<double>;
-  dist::DistFmmFft<Cx> plan(prm, g, prec);
-  Buffer<Cx> in(prm.n), out_serial(prm.n), out_async(prm.n);
-  fill_uniform(in.data(), prm.n, 40 + g);
-  const std::string base = "dfmmfft_e2e_g" + std::to_string(g) +
-                           (prec == fmm::Precision::Mixed ? "_mixed" : "");
-
-  {
-    exec::ScopedMode sm(exec::Mode::Serial);
-    double sec = time_best([&] { plan.execute(in.data(), out_serial.data()); });
-    record(base + "_serial", "seconds", sec, sec);
-  }
-  {
-    exec::ScopedMode sm(exec::Mode::Async);
-    double sec = time_best([&] { plan.execute(in.data(), out_async.data()); });
-    record(base + "_async", "seconds", sec, sec);
-  }
-  if (std::memcmp(out_serial.data(), out_async.data(),
-                  sizeof(Cx) * static_cast<std::size_t>(prm.n)) != 0) {
-    std::fprintf(stderr, "FATAL: %s serial/async outputs differ\n", base.c_str());
-    return false;
-  }
-  return true;
 }
 
 /// Measured algorithmic traffic rows (metric "bytes"): the ledger's bytes
@@ -436,23 +362,14 @@ int main(int argc, char** argv) {
   bench_fft_batched<double>("fft_f64_blue1000x64", 1000, 64);
 
   // The Π_{M,P} permutation / Plan2D transpose primitive: cache-oblivious
-  // kernel, the pre-fusion 32×32 reference, the in-place square variant,
-  // and the fused vs staged all-to-all built on it.
+  // kernel, the in-place square variant, and the fused all-to-all built on
+  // it, one-phase and two-phase.
   bench_transpose("transpose_c64_1024", 1024, 1024);
-  bench_transpose_ref("transpose_ref_c64_1024", 1024, 1024);
   bench_transpose_inplace("transpose_inplace_c64_1024", 1024);
   bench_a2a(1024, 1024, 4);
   bench_a2a_grid(1024, 1024, 4);
 
   bench_engine_kernels();
-
-  bench_fmmfft_e2e();
-
-  // Distributed e2e, Serial vs Async exec mode (overlap headroom scales
-  // with hardware threads; byte-identity is checked regardless).
-  for (int g : {2, 4})
-    if (!bench_dist_e2e(g)) return 1;
-  if (!bench_dist_e2e(2, fmm::Precision::Mixed)) return 1;
 
   bench_traffic_bytes();
 

@@ -184,25 +184,6 @@ void transpose_inplace(T* x, index_t rows, index_t cols) {
   transpose_inplace(x, rows);
 }
 
-/// Reference blocked transpose (the pre-fusion implementation): simple
-/// 32×32 blocking with a strided write stream. Kept as the equivalence
-/// oracle for the cache-oblivious kernel and as the bench contrast row.
-template <typename T>
-void transpose_blocked_ref(const T* x, T* y, index_t rows, index_t cols) {
-  FMMFFT_CHECK(x != y);
-  FMMFFT_TRAFFIC_RW("transpose", double(rows) * double(cols) * sizeof(T),
-                    double(rows) * double(cols) * sizeof(T), 0);
-  constexpr index_t kB = 32;
-  for (index_t j0 = 0; j0 < cols; j0 += kB) {
-    const index_t j1 = std::min(j0 + kB, cols);
-    for (index_t i0 = 0; i0 < rows; i0 += kB) {
-      const index_t i1 = std::min(i0 + kB, rows);
-      for (index_t j = j0; j < j1; ++j)
-        for (index_t i = i0; i < i1; ++i) y[j + i * cols] = x[i + j * rows];
-    }
-  }
-}
-
 /// y := Π_{M,P} x (out-of-place). y[m + p*M] = x[p + m*P]. N = M*P.
 /// Routed through the cache-oblivious transpose: x viewed as a P×M
 /// column-major matrix, transposed into the M-major layout.

@@ -15,8 +15,8 @@
 // strided writes, the AccFFT fused-pack discipline), reading and writing
 // each element once, and the fabric only accounts the payload
 // (Fabric::record). A *contiguous send* is a fabric copy (Fabric::send).
-// The staged pack/copy/unpack all-to-all is kept below as the equivalence
-// oracle for the fused one.
+// The staged pack/copy/unpack all-to-all it replaced is the tests' oracle
+// (tests/oracles.hpp).
 #pragma once
 
 #include <algorithm>
@@ -457,42 +457,6 @@ void all_to_all_permute_mp(sim::Fabric& fabric, const std::vector<T*>& in,
                            const std::vector<T*>& out, index_t m, index_t p,
                            const std::string& tag) {
   exchange_permute_mp(in, out, m, p, tag).run(fabric);
-}
-
-/// Staged reference all-to-all: pack into a send buffer, fabric copy,
-/// unpack — the pre-fusion data path. Kept as the bit-identity oracle for
-/// the fused path (tests) and as the bench contrast. Staging lives in the
-/// calling thread's ScratchArena, so steady-state calls allocate nothing.
-template <typename T>
-void all_to_all_permute_mp_staged(sim::Fabric& fabric, const std::vector<T*>& in,
-                                  const std::vector<T*>& out, index_t m, index_t p,
-                                  const std::string& tag) {
-  const int g = fabric.num_devices();
-  FMMFFT_CHECK((index_t)in.size() == g && (index_t)out.size() == g);
-  FMMFFT_CHECK(m % g == 0 && p % g == 0);
-  const index_t mg = m / g, pg = p / g;
-  ScratchBlock<T> stage_src(mg * pg), stage_dst(mg * pg);
-  for (int r = 0; r < g; ++r) {        // sender: owns m-range [r*mg, ...)
-    for (int rr = 0; rr < g; ++rr) {   // receiver: owns p-range [rr*pg, ...)
-      // Pack elements (p, m) with p in rr's range from r's input slab.
-      // Input slab local index of global n = p + m*P is n - r*mg*p_total.
-      index_t k = 0;
-      FMMFFT_TRAFFIC_RW("a2a.pack", double(mg) * double(pg) * sizeof(T),
-                        double(mg) * double(pg) * sizeof(T), 0);
-      for (index_t pm = 0; pm < mg; ++pm)       // local m offset
-        for (index_t pp = 0; pp < pg; ++pp)     // local p offset
-          stage_src[k++] = in[(std::size_t)r][(rr * pg + pp) + pm * p];
-      fabric.send(r, rr, stage_src.data(), stage_dst.data(), mg * pg, tag);
-      // Unpack into rr's output slab: local index of j = m + p*M is
-      // j - rr*pg*m_total.
-      k = 0;
-      FMMFFT_TRAFFIC_RW("a2a.unpack", double(mg) * double(pg) * sizeof(T),
-                        double(mg) * double(pg) * sizeof(T), 0);
-      for (index_t pm = 0; pm < mg; ++pm)
-        for (index_t pp = 0; pp < pg; ++pp)
-          out[(std::size_t)rr][(r * mg + pm) + pp * m] = stage_dst[k++];
-    }
-  }
 }
 
 }  // namespace fmmfft::dist

@@ -29,17 +29,6 @@ Mode& tl_mode() {
 std::atomic<TaskId> g_stall_task{-1};
 std::atomic<int> g_stall_ms{750};
 
-void init_fault_from_env() {
-  static const bool done = [] {
-    const long long task = obs::env::get_int("FMMFFT_FAULT_STALL_TASK", -1);
-    if (task >= 0)
-      inject_stall(static_cast<TaskId>(task),
-                   static_cast<int>(obs::env::get_int("FMMFFT_FAULT_STALL_MS", 750)));
-    return true;
-  }();
-  (void)done;
-}
-
 }  // namespace
 
 void inject_stall(TaskId id, int ms) {
@@ -173,7 +162,6 @@ void TaskGraph::run(ThreadPool& pool) {
   FMMFFT_CHECK_MSG(!ran_, "TaskGraph::run may be called once");
   ran_ = true;
   if (tasks_.empty()) return;
-  init_fault_from_env();
   ready_.reserve(tasks_.size());
   for (TaskId id = 0; id < size(); ++id)
     if (tasks_[(std::size_t)id].unmet == 0) ready_.push_back(id);

@@ -55,8 +55,7 @@ using TaskId = int;
 
 /// Fault injection for watchdog drills and tests: the next graph task with
 /// this id sleeps `ms` milliseconds inside its body (after its TaskStart
-/// flight event), then disarms. FMMFFT_FAULT_STALL_TASK /
-/// FMMFFT_FAULT_STALL_MS arm the same hook from the environment.
+/// flight event), then disarms.
 void inject_stall(TaskId id, int ms);
 
 enum class Mode { Serial, Async };

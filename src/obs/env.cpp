@@ -8,8 +8,8 @@
 
 namespace fmmfft::obs::env {
 
-const std::vector<Knob>& registry() {
-  static const std::vector<Knob> knobs = {
+std::span<const Knob> registry() {
+  static constexpr Knob knobs[] = {
       {"FMMFFT_TRACE", "path", "(unset)",
        "record spans, write a chrome://tracing JSON here at exit"},
       {"FMMFFT_METRICS", "path", "(unset)",
@@ -30,8 +30,6 @@ const std::vector<Knob>& registry() {
       {"FMMFFT_GRID", "string", "(squarest)",
        "pencil processor grid as PRxPC (e.g. 2x4); must multiply to the device "
        "count and divide the transform extents"},
-      {"FMMFFT_FLIGHT", "flag", "0",
-       "enable the always-on flight recorder (per-thread rings of recent events)"},
       {"FMMFFT_WATCHDOG_MS", "int", "0",
        "progress deadline in ms; >0 starts the watchdog thread (also arms the "
        "flight recorder)"},
@@ -39,10 +37,6 @@ const std::vector<Knob>& registry() {
        "span-sampler rate; >0 starts the low-rate time-in-stage sampler thread"},
       {"FMMFFT_POSTMORTEM", "path", "fmmfft.postmortem.json",
        "postmortem dump path; setting it arms crash handlers + flight recorder"},
-      {"FMMFFT_FAULT_STALL_TASK", "int", "(unset)",
-       "fault injection: stall the task-graph task with this id (tests/drills)"},
-      {"FMMFFT_FAULT_STALL_MS", "int", "750",
-       "fault injection: how long the injected stall sleeps"},
   };
   return knobs;
 }

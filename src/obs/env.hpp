@@ -11,8 +11,8 @@
 // TU outside this subsystem calls std::getenv("FMMFFT_...") directly.
 #pragma once
 
+#include <span>
 #include <string>
-#include <vector>
 
 namespace fmmfft::obs::env {
 
@@ -24,8 +24,9 @@ struct Knob {
   const char* desc;  ///< one-line description
 };
 
-/// Every FMMFFT_* knob the process understands, in display order.
-const std::vector<Knob>& registry();
+/// Every FMMFFT_* knob the process understands, in display order. A static
+/// table: reading it allocates nothing.
+std::span<const Knob> registry();
 
 /// Raw lookup (nullptr when unset). The name must be registered.
 const char* get(const char* name);

@@ -6,13 +6,13 @@
 // discipline (compiled in everywhere, one relaxed atomic load + branch when
 // disabled):
 //
-//  * Flight recorder — per-thread lock-free rings of the last
-//    kFlightCapacity compact events (task start/finish, comm chunks,
-//    marks). Unlike the span Recorder's fill-once lanes these rings
-//    wrap, so the *most recent* history is always available, and every slot
-//    is a seqlocked bundle of relaxed atomics: dumping a ring mid-flight —
-//    even from a signal handler — is race-free and never blocks a writer.
-//    FMMFFT_FLIGHT=1, or armed automatically with the watchdog/postmortem.
+//  * Flight recorder — compact events (task start/finish, comm chunks,
+//    marks) appended to the calling thread's obs event ring, beside its
+//    spans (obs::Recorder). Rings wrap, so the most recent history is always
+//    available, and every slot is a seqlocked bundle of relaxed atomics:
+//    dumping the rings mid-flight — even from a signal handler — is
+//    race-free and never blocks a writer. Armed with the watchdog or
+//    FMMFFT_POSTMORTEM, the two things that can ask for a postmortem.
 //
 //  * Watchdog — a background thread polling registered Sources (the
 //    exec::TaskGraph while it runs; every distributed driver runs one, in
@@ -22,22 +22,21 @@
 //    unfinished dependency chain blocking it; the verdict goes to stderr,
 //    last_verdict(), and a postmortem dump.
 //
-//  * Span sampler — a low-rate thread (FMMFFT_SAMPLE_HZ) snapshotting each
-//    worker's innermost open obs span into time-in-stage sample counts:
-//    continuous attribution with tracing off (the span hooks publish to a
-//    per-thread seqlock stack only while sampling is enabled).
+//  * Span sampler — a low-rate thread (FMMFFT_SAMPLE_HZ) reading each
+//    thread's innermost open obs span from its event ring into time-in-stage
+//    sample counts: continuous attribution with tracing off (spans record
+//    while sampling is on).
 //
-//  * Postmortem dump — fmmfft.postmortem.v1 JSON (cause + verdict + flight
-//    rings + sampler counts + metrics + traffic ledger), written on
+//  * Postmortem dump — fmmfft.postmortem.v1 JSON (cause + verdict + ring
+//    events + sampler counts + metrics + traffic ledger), written on
 //    watchdog timeout, uncaught task exception (exec::TaskGraph::run), and
 //    fatal signals. The signal path (SIGSEGV/SIGABRT) is async-signal-safe:
 //    a pre-resolved path, write(2), and hand-rolled formatting only, dumping
-//    the cause and the flight rings (the heap-owning registries are not
+//    the cause and the ring events (the heap-owning registries are not
 //    touchable from a handler).
 //
-// Fault injection (FMMFFT_FAULT_STALL_TASK / exec::inject_stall) lets tests
-// force a deterministic stall and assert the whole detect→attribute→dump
-// pipeline end to end.
+// Fault injection (exec::inject_stall) lets tests force a deterministic
+// stall and assert the whole detect→attribute→dump pipeline end to end.
 #pragma once
 
 #include <atomic>
@@ -46,70 +45,34 @@
 #include <string>
 #include <vector>
 
+#include "obs/obs.hpp"
+
 namespace fmmfft::obs::health {
-
-namespace detail {
-// Defined in health.cpp; referencing them from the inline hooks pulls the
-// health TU (and its env initializer) into any binary using them.
-extern std::atomic<bool> g_flight_enabled;
-extern std::atomic<bool> g_sampling_enabled;
-}  // namespace detail
-
-inline bool flight_enabled() {
-  return detail::g_flight_enabled.load(std::memory_order_relaxed);
-}
-inline bool sampling_enabled() {
-  return detail::g_sampling_enabled.load(std::memory_order_relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // Flight recorder
 
-/// Compact event kinds. Values are stable (they appear in postmortems).
-enum class Ev : std::uint8_t {
-  Mark = 0,        ///< free-form marker (tag)
-  GraphStart = 1,  ///< a = task count
-  GraphEnd = 2,    ///< a = tasks completed
-  TaskStart = 3,   ///< a = task id, lane = graph lane, tag = span prefix
-  TaskEnd = 4,     ///< a = task id
-  TaskFail = 5,    ///< a = task id (body threw)
-  Comm = 7,        ///< fabric transfer: a = chunk/elems id, tag = link tag
-  Fault = 8,       ///< injected fault triggered: a = task id
-};
-const char* ev_name(Ev kind);
+using obs::Ev;
 
-/// Events kept per thread ring (power of two; older events are overwritten).
-inline constexpr std::uint32_t kFlightCapacity = 4096;
-/// Tag capacity per event (prefix-truncated copy, always NUL-terminated).
-inline constexpr int kFlightTagCap = 16;
-
-/// One decoded flight event (snapshot/dump side).
-struct FlightEvent {
-  std::uint64_t seq = 0;   ///< per-ring monotonic event number (1-based)
-  std::uint64_t t_ns = 0;  ///< steady-clock ns since process epoch
-  std::uint32_t a = 0;
-  int lane = 0;
-  Ev kind = Ev::Mark;
-  int ring = 0;  ///< recording thread's ring id
-  char tag[kFlightTagCap + 1] = {};
-};
-
-namespace detail {
-void flight_record(Ev kind, std::uint32_t a, int lane, const char* tag);
+inline bool flight_enabled() {
+  return obs::detail::g_gate.load(std::memory_order_relaxed) & obs::detail::kFlight;
 }
 
-/// Record one event on the calling thread's ring (~1ns when disabled).
+/// Record one event on the calling thread's ring (~1ns when disabled). The
+/// tag is cut to RingEvent::kTagCap - 1 characters.
 inline void flight(Ev kind, std::uint32_t a, int lane, const char* tag) {
   if (!flight_enabled()) return;
-  detail::flight_record(kind, a, lane, tag);
+  obs::detail::record(kind, a, lane, tag);
 }
 
 void enable_flight(bool on = true);
-/// Consistent decoded copy of every ring, ordered by (ring, seq). Safe to
-/// call at any moment, including while all threads keep recording.
-std::vector<FlightEvent> flight_snapshot();
-/// Total events ever recorded (wrapped events still count).
+/// Consistent decoded copy of every ring since the last clear, spans
+/// included, ordered by (ring, seq). Safe to call at any moment, including
+/// while all threads keep recording.
+std::vector<RingEvent> flight_snapshot();
+/// Total events ever recorded (wrapped and cleared events still count).
 std::uint64_t flight_recorded();
+/// Same as Recorder::clear(): spans and flight events share the rings.
 void flight_clear();
 
 // ---------------------------------------------------------------------------
@@ -147,7 +110,8 @@ std::string last_verdict();
 // ---------------------------------------------------------------------------
 // Span sampler
 
-/// Start (hz > 0) or stop (0) the sampler thread.
+/// Start (hz > 0) or stop (0) the sampler thread. Spans record into the
+/// event rings while it runs.
 void enable_sampler(double hz);
 bool sampler_enabled();
 /// Sample counts per innermost span name, plus "(idle)" for threads with no
@@ -155,13 +119,6 @@ bool sampler_enabled();
 std::map<std::string, std::uint64_t> sampler_snapshot();
 std::uint64_t sampler_samples();
 void sampler_clear();
-
-namespace detail {
-// Called by obs::SpanScope (obs.cpp) while sampling is enabled: maintain
-// the calling thread's current-span stack for the sampler to read.
-void span_push(const char* name);
-void span_pop();
-}  // namespace detail
 
 // ---------------------------------------------------------------------------
 // Postmortem
@@ -176,7 +133,7 @@ void set_postmortem_path(const std::string& path);
 bool postmortem_armed();
 void arm_postmortem(bool on = true);
 
-/// Write a fmmfft.postmortem.v1 JSON dump: cause, verdict, flight rings,
+/// Write a fmmfft.postmortem.v1 JSON dump: cause, verdict, ring events,
 /// sampler counts, watchdog state, metrics, traffic ledger.
 bool write_postmortem(const std::string& path, const std::string& cause,
                       const std::string& verdict);
@@ -186,7 +143,7 @@ bool write_postmortem(const std::string& path, const std::string& cause,
 std::string emit_postmortem(const std::string& cause, const std::string& verdict);
 
 /// Install SIGSEGV/SIGABRT handlers that write a reduced postmortem (cause
-/// + flight rings) through the async-signal-safe path, then re-raise.
+/// + ring events) through the async-signal-safe path, then re-raise.
 void install_crash_handlers();
 
 namespace detail {
@@ -196,9 +153,9 @@ namespace detail {
 void write_signal_dump(int sig);
 }  // namespace detail
 
-/// Read the FMMFFT_FLIGHT / FMMFFT_WATCHDOG_MS / FMMFFT_SAMPLE_HZ /
-/// FMMFFT_POSTMORTEM knobs and arm the corresponding facilities. Runs
-/// automatically at startup from health.cpp's initializer.
+/// Read the FMMFFT_WATCHDOG_MS / FMMFFT_SAMPLE_HZ / FMMFFT_POSTMORTEM knobs
+/// and arm the corresponding facilities. Runs automatically at startup from
+/// obs.cpp's initializer.
 void init_from_env();
 
 }  // namespace fmmfft::obs::health
@@ -210,6 +167,6 @@ void init_from_env();
 #define FMMFFT_FLIGHT(kind, a, lane, tag) ((void)0)
 #else
 #define FMMFFT_FLIGHT(kind, a, lane, tag)                                      \
-  ::fmmfft::obs::health::flight(::fmmfft::obs::health::Ev::kind,               \
+  ::fmmfft::obs::health::flight(::fmmfft::obs::Ev::kind,                       \
                                 static_cast<std::uint32_t>(a), (lane), (tag))
 #endif

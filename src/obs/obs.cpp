@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <ostream>
 
@@ -16,14 +17,14 @@ namespace fmmfft::obs {
 
 namespace detail {
 
-std::atomic<bool> g_trace_enabled{false};
+std::atomic<unsigned> g_gate{0};
 std::atomic<bool> g_metrics_enabled{false};
-std::atomic<bool> g_span_hooks{false};
 
-void update_span_hooks() {
-  g_span_hooks.store(g_trace_enabled.load(std::memory_order_relaxed) ||
-                         health::sampling_enabled(),
-                     std::memory_order_relaxed);
+void set_gate(unsigned bits, bool on) {
+  if (on)
+    g_gate.fetch_or(bits, std::memory_order_relaxed);
+  else
+    g_gate.fetch_and(~bits, std::memory_order_relaxed);
 }
 
 std::uint64_t now_ns() {
@@ -33,31 +34,9 @@ std::uint64_t now_ns() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() - epoch).count());
 }
 
-namespace {
-thread_local int tls_depth = 0;
-}
-
-int enter_span() { return tls_depth++; }
-void leave_span() { --tls_depth; }
-
-int open_span(const char* name) {
-  if (health::sampling_enabled()) health::detail::span_push(name);
-  return enter_span();
-}
-
-void close_span(const char* name, std::uint64_t start_ns, int depth) {
-  leave_span();
-  if (health::sampling_enabled()) health::detail::span_pop();
-  if (tracing_enabled()) record_span(name, start_ns, now_ns(), depth);
-}
-
 }  // namespace detail
 
-void enable_tracing(bool on) {
-  if (on) Recorder::global();  // construct before first lock-free record
-  detail::g_trace_enabled.store(on, std::memory_order_relaxed);
-  detail::update_span_hooks();
-}
+void enable_tracing(bool on) { detail::set_gate(detail::kTrace, on); }
 void enable_metrics(bool on) {
   if (on) Metrics::global();
   detail::g_metrics_enabled.store(on, std::memory_order_relaxed);
@@ -78,84 +57,244 @@ void reset() {
 }
 
 // ---------------------------------------------------------------------------
-// Recorder
+// Event rings
 
-/// Single-producer ring: only the owning thread appends; readers take the
-/// registry mutex and synchronize on the release store of `size`.
-struct Recorder::Lane {
-  explicit Lane(int id_) : id(id_) { events.resize(kLaneCapacity); }
-  int id;
-  std::vector<SpanEvent> events;
-  std::atomic<std::uint32_t> size{0};
-  std::atomic<std::uint64_t> dropped{0};
-};
-
-namespace {
-thread_local Recorder::Lane* tls_lane = nullptr;
+const char* ev_name(Ev kind) {
+  switch (kind) {
+    case Ev::Mark: return "mark";
+    case Ev::GraphStart: return "graph_start";
+    case Ev::GraphEnd: return "graph_end";
+    case Ev::TaskStart: return "task_start";
+    case Ev::TaskEnd: return "task_end";
+    case Ev::TaskFail: return "task_fail";
+    case Ev::Comm: return "comm";
+    case Ev::Fault: return "fault";
+    case Ev::SpanOpen: return "span_open";
+    case Ev::SpanClose: return "span_close";
+  }
+  return "?";
 }
 
+namespace {
+constexpr std::uint64_t kCap = Recorder::kLaneCapacity;
+constexpr int kTagWords = RingEvent::kTagCap / 8;
+}  // namespace
+
+/// Only the owning thread writes `head` and the slots; only clear() writes
+/// `floor`. A slot's `seq` is 0 while its owner rewrites it and the event
+/// number + 1 once it is consistent.
+struct Recorder::Ring {
+  struct alignas(64) Slot {  // one cache line
+    std::atomic<std::uint64_t> seq{0};
+    std::atomic<std::uint64_t> t_ns{0};
+    std::atomic<std::uint64_t> meta{0};  // kind << 56 | lane << 32 | a
+    std::atomic<std::uint64_t> tag[kTagWords] = {};
+  };
+  explicit Ring(int id_) : id(id_) {}
+  int id;
+  std::atomic<std::uint64_t> head{0};   // events ever written
+  std::atomic<std::uint64_t> floor{0};  // first event readers report
+  Slot slots[kCap];
+
+  /// Decode event n into `out`; false if it was overwritten or is mid-write.
+  bool decode(std::uint64_t n, RingEvent& out) const {
+    const Slot& s = slots[n % kCap];
+    if (s.seq.load(std::memory_order_acquire) != n + 1) return false;
+    const std::uint64_t t = s.t_ns.load(std::memory_order_relaxed);
+    const std::uint64_t meta = s.meta.load(std::memory_order_relaxed);
+    std::uint64_t tag[kTagWords];
+    for (int i = 0; i < kTagWords; ++i) tag[i] = s.tag[i].load(std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (s.seq.load(std::memory_order_relaxed) != n + 1) return false;
+    out.seq = n + 1;
+    out.t_ns = t;
+    out.kind = static_cast<Ev>(meta >> 56);
+    out.lane = static_cast<int>((meta >> 32) & 0xFFFFFF);
+    out.a = static_cast<std::uint32_t>(meta);
+    out.ring = id;
+    std::memcpy(out.tag, tag, sizeof tag);
+    out.tag[RingEvent::kTagCap - 1] = '\0';
+    return true;
+  }
+  /// Oldest event still held at or after `from`.
+  std::uint64_t low(std::uint64_t head_now, std::uint64_t from) const {
+    return std::max(from, head_now > kCap ? head_now - kCap : 0);
+  }
+};
+
 Recorder& Recorder::global() {
-  static Recorder r;
+  static constinit Recorder r;  // constant-initialized: no guard, signal-safe
   return r;
 }
 
-Recorder::Lane* Recorder::register_lane() {
-  std::lock_guard<std::mutex> lk(mu_);
-  lanes_.push_back(std::make_unique<Lane>(static_cast<int>(lanes_.size())));
-  return lanes_.back().get();
+namespace {
+thread_local Recorder::Ring* tls_ring = nullptr;
+thread_local bool tls_refused = false;
+thread_local int tls_depth = 0;
+}  // namespace
+
+Recorder::Ring* Recorder::thread_ring() {
+  if (tls_ring || tls_refused) return tls_ring;
+  const int id = claimed_.fetch_add(1, std::memory_order_relaxed);
+  if (id >= kMaxRings) {
+    // Sharing a ring would break the single-writer seqlock.
+    tls_refused = true;
+    return nullptr;
+  }
+  // Leaked deliberately: rings outlive their threads for postmortems and
+  // the signal dump.
+  tls_ring = new Ring(id);
+  rings_[id].store(tls_ring, std::memory_order_release);
+  return tls_ring;
 }
 
 namespace detail {
-void record_span(const char* name, std::uint64_t start_ns, std::uint64_t end_ns, int depth) {
-  Recorder::Lane* lane = tls_lane;
-  if (!lane) lane = tls_lane = Recorder::global().register_lane();
-  const std::uint32_t n = lane->size.load(std::memory_order_relaxed);
-  if (n >= Recorder::kLaneCapacity) {
-    lane->dropped.fetch_add(1, std::memory_order_relaxed);
+
+void record(Ev kind, std::uint32_t a, int lane, const char* tag) {
+  Recorder& rec = Recorder::global();
+  Recorder::Ring* ring = rec.thread_ring();
+  if (!ring) {
+    rec.refused_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  SpanEvent& ev = lane->events[n];
-  std::strncpy(ev.name, name, sizeof ev.name - 1);
-  ev.name[sizeof ev.name - 1] = '\0';
-  ev.start_ns = start_ns;
-  ev.end_ns = end_ns;
-  ev.lane = lane->id;
-  ev.depth = depth;
-  lane->size.store(n + 1, std::memory_order_release);
+  char buf[RingEvent::kTagCap] = {};
+  if (tag) std::strncpy(buf, tag, sizeof buf - 1);
+  std::uint64_t words[kTagWords];
+  std::memcpy(words, buf, sizeof buf);
+  const std::uint64_t n = ring->head.load(std::memory_order_relaxed);
+  Recorder::Ring::Slot& s = ring->slots[n % kCap];
+  s.seq.store(0, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);  // invalidate first
+  s.t_ns.store(now_ns(), std::memory_order_relaxed);
+  s.meta.store(std::uint64_t(kind) << 56 | (std::uint64_t(lane) & 0xFFFFFF) << 32 | a,
+               std::memory_order_relaxed);
+  for (int i = 0; i < kTagWords; ++i) s.tag[i].store(words[i], std::memory_order_relaxed);
+  s.seq.store(n + 1, std::memory_order_release);
+  ring->head.store(n + 1, std::memory_order_release);
 }
+
+int open_span(const char* name) {
+  const int depth = tls_depth++;
+  record(Ev::SpanOpen, std::uint32_t(depth), 0, name);
+  return depth;
+}
+
+void close_span(int depth) {
+  tls_depth = depth;
+  record(Ev::SpanClose, std::uint32_t(depth), 0, nullptr);
+}
+
 }  // namespace detail
 
-std::vector<SpanEvent> Recorder::snapshot() const {
-  std::vector<SpanEvent> out;
-  std::lock_guard<std::mutex> lk(mu_);
-  for (const auto& lane : lanes_) {
-    const std::uint32_t n = lane->size.load(std::memory_order_acquire);
-    out.insert(out.end(), lane->events.begin(), lane->events.begin() + n);
+void Recorder::visit(void (*fn)(const RingEvent&, void*), void* ctx) const {
+  const int n = lanes();
+  for (int i = 0; i < n; ++i) {
+    const Ring* ring = rings_[i].load(std::memory_order_acquire);
+    if (!ring) continue;
+    const std::uint64_t head = ring->head.load(std::memory_order_acquire);
+    for (std::uint64_t e = ring->low(head, ring->floor.load(std::memory_order_acquire));
+         e < head; ++e) {
+      RingEvent ev;
+      if (ring->decode(e, ev)) fn(ev, ctx);
+    }
   }
-  std::sort(out.begin(), out.end(), [](const SpanEvent& a, const SpanEvent& b) {
-    return a.lane != b.lane ? a.lane < b.lane : a.start_ns < b.start_ns;
-  });
+}
+
+std::vector<RingEvent> Recorder::events() const {
+  std::vector<RingEvent> out;
+  visit([](const RingEvent& ev, void* v) { static_cast<std::vector<RingEvent>*>(v)->push_back(ev); },
+        &out);
   return out;
 }
 
+std::vector<SpanEvent> Recorder::snapshot() const {
+  // Pair each close with its ring's open at the same depth; a close whose
+  // open is gone is skipped, and spans still open are not reported.
+  struct Pairing {
+    std::vector<SpanEvent> spans, open;
+  } p;
+  visit(
+      [](const RingEvent& ev, void* v) {
+        auto& p = *static_cast<Pairing*>(v);
+        if (!p.open.empty() && p.open.back().lane != ev.ring) p.open.clear();
+        if (ev.kind == Ev::SpanOpen) {
+          SpanEvent s;
+          std::memcpy(s.name, ev.tag, sizeof s.name);
+          s.start_ns = ev.t_ns;
+          s.lane = ev.ring;
+          s.depth = int(ev.a);
+          p.open.push_back(s);
+        } else if (ev.kind == Ev::SpanClose) {
+          while (!p.open.empty() && p.open.back().depth > int(ev.a)) p.open.pop_back();
+          if (p.open.empty() || p.open.back().depth != int(ev.a)) return;
+          p.spans.push_back(p.open.back());
+          p.spans.back().end_ns = ev.t_ns;
+          p.open.pop_back();
+        }
+      },
+      &p);
+  std::sort(p.spans.begin(), p.spans.end(), [](const SpanEvent& a, const SpanEvent& b) {
+    return a.lane != b.lane ? a.lane < b.lane : a.start_ns < b.start_ns;
+  });
+  return p.spans;
+}
+
+std::vector<std::string> Recorder::open_spans() const {
+  // Walking back from head, the first span event decides: an open is the
+  // innermost open span; a close at depth d leaves depths < d open, and the
+  // newest open at depth d - 1 is the innermost.
+  std::vector<std::string> out;
+  const int n = lanes();
+  for (int i = 0; i < n; ++i) {
+    const Ring* ring = rings_[i].load(std::memory_order_acquire);
+    if (!ring) continue;
+    std::string& name = out.emplace_back();
+    const std::uint64_t head = ring->head.load(std::memory_order_acquire);
+    const std::uint64_t lo = ring->low(head, 0);
+    long long want = -1;
+    RingEvent ev;
+    for (std::uint64_t e = head; e-- > lo && ring->decode(e, ev);) {
+      if (ev.kind == Ev::SpanClose && want < 0) {
+        if (ev.a == 0) break;
+        want = ev.a - 1;
+      } else if (ev.kind == Ev::SpanOpen && (want < 0 || ev.a == want)) {
+        name = ev.tag;
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+std::uint64_t Recorder::recorded() const {
+  std::uint64_t total = 0;
+  for (int i = 0; i < lanes(); ++i)
+    if (const Ring* ring = rings_[i].load(std::memory_order_acquire))
+      total += ring->head.load(std::memory_order_relaxed);
+  return total;
+}
+
 std::uint64_t Recorder::dropped() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::uint64_t d = 0;
-  for (const auto& lane : lanes_) d += lane->dropped.load(std::memory_order_relaxed);
+  std::uint64_t d = refused_.load(std::memory_order_relaxed) -
+                    refused_floor_.load(std::memory_order_relaxed);
+  for (int i = 0; i < lanes(); ++i)
+    if (const Ring* ring = rings_[i].load(std::memory_order_acquire)) {
+      const std::uint64_t gone = ring->low(ring->head.load(std::memory_order_relaxed), 0);
+      const std::uint64_t floor = ring->floor.load(std::memory_order_relaxed);
+      d += gone > floor ? gone - floor : 0;
+    }
   return d;
 }
 
 int Recorder::lanes() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return static_cast<int>(lanes_.size());
+  return std::min(claimed_.load(std::memory_order_relaxed), kMaxRings);
 }
 
 void Recorder::clear() {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (auto& lane : lanes_) {
-    lane->size.store(0, std::memory_order_release);
-    lane->dropped.store(0, std::memory_order_relaxed);
-  }
+  refused_floor_.store(refused_.load(std::memory_order_relaxed), std::memory_order_relaxed);
+  for (int i = 0; i < lanes(); ++i)
+    if (Ring* ring = rings_[i].load(std::memory_order_acquire))
+      ring->floor.store(ring->head.load(std::memory_order_acquire), std::memory_order_release);
 }
 
 void Recorder::write_chrome_trace(std::ostream& os) const {
@@ -364,9 +503,8 @@ void init_from_env() {
   const char* trace = env::get("FMMFFT_TRACE");
   const char* metrics = env::get("FMMFFT_METRICS");
   if (!trace && !metrics) return;
-  // Construct the singletons *before* registering the atexit dump so they
-  // are destroyed after it runs.
-  Recorder::global();
+  // Construct the metrics registry *before* registering the atexit dump so
+  // it is destroyed after the dump runs.
   Metrics::global();
   if (trace && *trace) {
     g_trace_path = trace;
@@ -380,10 +518,12 @@ void init_from_env() {
 }
 
 namespace {
-// Any TU that uses the hook macros references detail::g_*_enabled, which
+// Any TU that uses the hook macros references detail::g_gate, which
 // pulls this object file — and with it this initializer — into the link.
+// The health knobs are read here too, so every such binary honours them.
 [[maybe_unused]] const bool g_env_initialized = [] {
   init_from_env();
+  health::init_from_env();
   return true;
 }();
 }  // namespace

@@ -1,13 +1,16 @@
-// Runtime observability: span tracing and a metrics registry.
+// Runtime observability: one per-thread event log and a metrics registry.
 //
 // The repo *predicts* per-stage flop/byte/comm counts (src/model/counts.*)
 // and *simulates* their timing (src/sim/schedule.*); this subsystem observes
 // what the real host execution actually does. Two independent facilities
 // share one on/off discipline:
 //
-//  * Spans — RAII scopes (`FMMFFT_SPAN("M2L")`) written to per-thread ring
-//    buffers and collected by the process-wide Recorder, exportable as
-//    chrome://tracing / Perfetto JSON (obs/trace_writer.hpp).
+//  * Event rings — each recording thread appends to its own wrapping ring
+//    of kLaneCapacity seqlocked events, listed in the process-wide Recorder.
+//    Spans (`FMMFFT_SPAN("M2L")`, an open and a close event) and the health
+//    layer's flight events (obs/health.hpp) share the ring. Readers decode
+//    the same rings: the Chrome/Perfetto trace export (obs/trace_writer.hpp),
+//    the health layer's span sampler, postmortems and the fatal-signal dump.
 //  * Metrics — named counters / gauges / histograms (flops, bytes moved,
 //    GEMM calls, kernel-equivalent launches, fabric transfers), dumpable as
 //    JSON and diffable against the §5 model (obs/compare.hpp).
@@ -25,10 +28,8 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <iosfwd>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -38,46 +39,67 @@
 namespace fmmfft::obs {
 
 namespace detail {
-// Defined in obs.cpp. Referencing these from the macros pulls obs.cpp (and
-// its environment-variable initializer) into any binary using the hooks.
-extern std::atomic<bool> g_trace_enabled;
+/// The recording gate: one bit per consumer of the event rings. Spans record
+/// while tracing or sampling is on, flight events while the flight recorder
+/// is. Defined in obs.cpp; referencing it from the macros pulls obs.cpp (and
+/// its environment-variable initializer) into any binary using the hooks.
+enum : unsigned { kTrace = 1, kFlight = 2, kSample = 4, kSpans = kTrace | kSample };
+extern std::atomic<unsigned> g_gate;
 extern std::atomic<bool> g_metrics_enabled;
-/// True while any span consumer is live: tracing, or the health span
-/// sampler. SpanScope gates on this so the sampler sees the current-span
-/// stack without tracing enabled (same one-load disabled cost).
-extern std::atomic<bool> g_span_hooks;
-/// Recompute g_span_hooks from the tracing + sampling states.
-void update_span_hooks();
+void set_gate(unsigned bits, bool on);
 std::uint64_t now_ns();  ///< steady-clock ns since the process epoch
 }  // namespace detail
 
 inline bool tracing_enabled() {
-  return detail::g_trace_enabled.load(std::memory_order_relaxed);
-}
-inline bool span_hooks_enabled() {
-  return detail::g_span_hooks.load(std::memory_order_relaxed);
+  return detail::g_gate.load(std::memory_order_relaxed) & detail::kTrace;
 }
 inline bool metrics_enabled() {
   return detail::g_metrics_enabled.load(std::memory_order_relaxed);
 }
-inline bool enabled() { return tracing_enabled() || metrics_enabled(); }
 
 void enable_tracing(bool on = true);
 void enable_metrics(bool on = true);
 void enable();   ///< both facilities
-void disable();  ///< every facility (tracing, metrics, traffic ledger)
-/// Drop all recorded spans and zero every metric. Registered counters stay
+void disable();  ///< tracing, metrics and the traffic ledger
+/// Drop all recorded events and zero every metric. Registered counters stay
 /// alive (hook sites hold references), only their values reset.
 void reset();
 
 // ---------------------------------------------------------------------------
-// Spans
+// Event rings
 
-/// One completed span. `name` is a bounded copy so events never reference
-/// caller-owned storage; `lane` is the recording thread's registration
-/// order; `depth` is the nesting level within the lane (0 = outermost).
+/// Ring event kinds. Values are stable (they appear in postmortems).
+enum class Ev : std::uint8_t {
+  Mark = 0,        ///< free-form marker (tag)
+  GraphStart = 1,  ///< a = task count
+  GraphEnd = 2,    ///< a = tasks completed
+  TaskStart = 3,   ///< a = task id, lane = graph lane, tag = span prefix
+  TaskEnd = 4,     ///< a = task id
+  TaskFail = 5,    ///< a = task id (body threw)
+  Comm = 7,        ///< fabric transfer: a = chunk/elems id, tag = link tag
+  Fault = 8,       ///< injected fault triggered: a = task id
+  SpanOpen = 9,    ///< a = nesting depth, tag = span name
+  SpanClose = 10,  ///< a = nesting depth
+};
+const char* ev_name(Ev kind);
+
+/// One decoded ring event. `tag` is a bounded, always NUL-terminated copy.
+struct RingEvent {
+  static constexpr int kTagCap = 40;
+  std::uint64_t seq = 0;   ///< 1-based event number on its ring
+  std::uint64_t t_ns = 0;  ///< steady-clock ns since the process epoch
+  std::uint32_t a = 0;
+  int lane = 0;  ///< flight events: the task-graph lane
+  Ev kind = Ev::Mark;
+  int ring = 0;  ///< recording thread's ring id (its trace lane)
+  char tag[kTagCap] = {};
+};
+
+/// One completed span, paired from its ring's open and close events. `lane`
+/// is the recording thread's ring id; `depth` is the nesting level within
+/// the lane (0 = outermost).
 struct SpanEvent {
-  static constexpr int kNameCap = 40;
+  static constexpr int kNameCap = RingEvent::kTagCap;
   char name[kNameCap];
   std::uint64_t start_ns = 0;
   std::uint64_t end_ns = 0;
@@ -86,81 +108,87 @@ struct SpanEvent {
 };
 
 namespace detail {
-void record_span(const char* name, std::uint64_t start_ns, std::uint64_t end_ns, int depth);
-int enter_span();  ///< returns this span's depth on the current lane
-void leave_span();
-/// Out-of-line SpanScope open/close: enter/leave the lane depth, publish to
-/// the health sampler's per-thread stack while sampling, and record the
-/// completed span while tracing. open_span returns the span's depth.
+/// Append one event to the calling thread's ring, allocating the ring on
+/// the thread's first record.
+void record(Ev kind, std::uint32_t a, int lane, const char* tag);
+/// Record a span's open event; returns its depth on the calling thread.
 int open_span(const char* name);
-void close_span(const char* name, std::uint64_t start_ns, int depth);
+void close_span(int depth);
 }  // namespace detail
 
-/// RAII span scope. Construction/destruction with tracing disabled costs
-/// one relaxed load + branch and never allocates.
+/// RAII span scope. With spans off, construction and destruction cost one
+/// relaxed load and a branch and never allocate. The close is recorded iff
+/// the open was, whatever the gate reads by then.
 class SpanScope {
  public:
   explicit SpanScope(const char* name) {
-    if (!span_hooks_enabled()) return;
-    open(name);
+    if (detail::g_gate.load(std::memory_order_relaxed) & detail::kSpans)
+      depth_ = detail::open_span(name);
   }
   /// Dynamic-suffix form for tagged spans ("COMM-M7", fabric tags). The
   /// string is copied into the event, never retained.
   SpanScope(const char* prefix, const std::string& suffix) {
-    if (!span_hooks_enabled()) return;
+    if (!(detail::g_gate.load(std::memory_order_relaxed) & detail::kSpans)) return;
     char buf[SpanEvent::kNameCap];
     std::snprintf(buf, sizeof buf, "%s%s", prefix, suffix.c_str());
-    open(buf);
+    depth_ = detail::open_span(buf);
   }
   ~SpanScope() {
-    if (!active_) return;
-    detail::close_span(name_, start_, depth_);
+    if (depth_ >= 0) detail::close_span(depth_);
   }
   SpanScope(const SpanScope&) = delete;
   SpanScope& operator=(const SpanScope&) = delete;
 
  private:
-  void open(const char* name) {
-    active_ = true;
-    std::strncpy(name_, name, sizeof name_ - 1);
-    name_[sizeof name_ - 1] = '\0';
-    depth_ = detail::open_span(name_);
-    start_ = detail::now_ns();
-  }
-  bool active_ = false;
-  int depth_ = 0;
-  std::uint64_t start_ = 0;
-  char name_[SpanEvent::kNameCap] = {};
+  int depth_ = -1;  ///< -1: the open was not recorded
 };
 
-/// Process-wide span collector. Lanes (one per recording thread) are owned
-/// here and live for the process lifetime; threads cache a raw pointer in
-/// thread-local storage, so recording is lock-free single-producer.
+/// Process-wide event log: one single-writer ring per recording thread, in a
+/// fixed array of atomic ring pointers. Rings live for the process lifetime
+/// and wrap, so the most recent kLaneCapacity events per thread survive.
+/// Every slot is a seqlock of relaxed atomics, so readers never block a
+/// writer, and visit() takes no lock and allocates nothing. clear() only
+/// raises each ring's floor: readers skip older events (the sampler, which
+/// needs the open spans, looks below it).
 class Recorder {
  public:
   static Recorder& global();
 
-  /// Copy of all completed spans, ordered by (lane, start time).
+  /// Completed spans since the last clear(), ordered by (lane, start time).
+  /// A span whose open event was overwritten or cleared is left out.
   std::vector<SpanEvent> snapshot() const;
-  /// Spans dropped because a lane's ring filled (kLaneCapacity).
+  /// Every event since the last clear(), ordered by (ring, seq).
+  std::vector<RingEvent> events() const;
+  /// Calls fn(event, ctx) for each event events() would return.
+  /// Async-signal-safe: the fatal-signal dump walks the rings through it.
+  void visit(void (*fn)(const RingEvent&, void*), void* ctx) const;
+  /// Per ring, the innermost span open on its thread ("" when none is, or
+  /// when the open event was overwritten): what the span sampler counts.
+  std::vector<std::string> open_spans() const;
+  /// Events ever recorded, including overwritten and cleared ones.
+  std::uint64_t recorded() const;
+  /// Events overwritten, or refused for lack of a ring, since the last clear().
   std::uint64_t dropped() const;
-  int lanes() const;
+  int lanes() const;  ///< rings in the registry
   void clear();
 
-  /// chrome://tracing JSON of all recorded spans (obs::TraceWriter format;
-  /// pid 0, one tid per lane, timestamps relative to the process epoch).
+  /// chrome://tracing JSON of snapshot() (obs::TraceWriter format; pid 0,
+  /// one tid per lane, timestamps relative to the process epoch).
   void write_chrome_trace(std::ostream& os) const;
 
   static constexpr std::size_t kLaneCapacity = std::size_t(1) << 15;
 
-  struct Lane;  ///< defined in obs.cpp; threads cache a Lane* in TLS
+  struct Ring;  ///< defined in obs.cpp; threads cache a Ring* in TLS
 
  private:
-  friend void detail::record_span(const char*, std::uint64_t, std::uint64_t, int);
-  Lane* register_lane();
+  friend void detail::record(Ev, std::uint32_t, int, const char*);
+  Ring* thread_ring();
 
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Lane>> lanes_;
+  static constexpr int kMaxRings = 128;  ///< threads past this record nothing
+
+  std::atomic<Ring*> rings_[kMaxRings] = {};
+  std::atomic<int> claimed_{0};  ///< rings handed out, or refused past kMaxRings
+  std::atomic<std::uint64_t> refused_{0}, refused_floor_{0};
 };
 
 // ---------------------------------------------------------------------------

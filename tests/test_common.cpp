@@ -16,6 +16,7 @@
 #include "common/table.hpp"
 #include "common/tensor.hpp"
 #include "common/types.hpp"
+#include "oracles.hpp"
 
 namespace fmmfft {
 namespace {

@@ -20,6 +20,7 @@
 #include "dist/dfmmfft.hpp"
 #include "exec/executor.hpp"
 #include "model/counts.hpp"
+#include "oracles.hpp"
 
 namespace fmmfft::dist {
 namespace {

@@ -60,7 +60,6 @@ struct HealthQuiesce {
     health::enable_sampler(0);
     health::enable_flight(false);
     health::arm_postmortem(false);
-    fmmfft::obs::detail::update_span_hooks();
   }
 };
 
@@ -97,21 +96,23 @@ TEST(Flight, TagIsPrefixTruncated) {
   HealthQuiesce q;
   health::enable_flight(true);
   health::flight_clear();
-  FMMFFT_FLIGHT(Mark, 0, 0, "0123456789abcdefOVERFLOW");
+  FMMFFT_FLIGHT(Mark, 0, 0, "0123456789abcdefghijklmnopqrstuvwxyzABCDOVERFLOW");
   const auto events = health::flight_snapshot();
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_STREQ(events[0].tag, "0123456789abcde");  // kFlightTagCap-1 chars + NUL
+  // RingEvent::kTagCap - 1 chars + NUL
+  EXPECT_STREQ(events[0].tag, "0123456789abcdefghijklmnopqrstuvwxyzABC");
 }
 
 TEST(Flight, RingWrapsKeepingMostRecent) {
   HealthQuiesce q;
   health::enable_flight(true);
   health::flight_clear();
-  const std::uint32_t n = health::kFlightCapacity + 500;
+  const std::uint32_t cap = fmmfft::obs::Recorder::kLaneCapacity;
+  const std::uint32_t n = cap + 500;
   for (std::uint32_t i = 0; i < n; ++i) FMMFFT_FLIGHT(Mark, i, 0, "wrap");
   EXPECT_GE(health::flight_recorded(), std::uint64_t(n));
   const auto events = health::flight_snapshot();
-  ASSERT_LE(events.size(), std::size_t(health::kFlightCapacity));
+  ASSERT_LE(events.size(), std::size_t(cap));
   ASSERT_FALSE(events.empty());
   // The newest event survived; the oldest surviving one is past the wrap.
   std::uint32_t amax = 0, amin = n;
@@ -120,7 +121,7 @@ TEST(Flight, RingWrapsKeepingMostRecent) {
     amin = std::min(amin, ev.a);
   }
   EXPECT_EQ(amax, n - 1);
-  EXPECT_GE(amin, n - health::kFlightCapacity);
+  EXPECT_GE(amin, n - cap);
 }
 
 TEST(Flight, ConcurrentWritersGetDistinctRings) {
@@ -337,8 +338,32 @@ TEST(Sampler, CountsSpansWithoutTracing) {
   ASSERT_NE(counts.find("health-sample-span"), counts.end());
   EXPECT_GT(counts.at("health-sample-span"), 0u);
   EXPECT_GT(health::sampler_samples(), 0u);
-  // Sampling alone must not have recorded any trace spans.
   EXPECT_FALSE(fmmfft::obs::tracing_enabled());
+  // Spans recorded for the sampler land in the one event ring, so the
+  // Recorder reports them like traced ones.
+  const auto spans = fmmfft::obs::Recorder::global().snapshot();
+  EXPECT_TRUE(std::any_of(spans.begin(), spans.end(), [](const auto& e) {
+    return std::string(e.name) == "health-sample-span";
+  }));
+}
+
+TEST(Sampler, DisabledMidSpanLeavesNoStaleEntry) {
+  // A span that closes while the sampler is off must not stay open for the
+  // sampler once it restarts.
+  HealthQuiesce q;
+  health::enable_sampler(500);
+  {
+    FMMFFT_SPAN("health-stale-span");
+    health::enable_sampler(0);
+  }
+  health::sampler_clear();
+  health::enable_sampler(500);
+  sleep_ms(150);  // no span open on this thread
+  health::enable_sampler(0);
+  const auto counts = health::sampler_snapshot();
+  EXPECT_GT(health::sampler_samples(), 0u);
+  EXPECT_EQ(counts.count("health-stale-span"), 0u)
+      << counts.at("health-stale-span") << " samples went to a closed span";
 }
 
 TEST(Sampler, InnermostSpanWins) {
@@ -454,5 +479,18 @@ TEST(PostmortemDeathTest, FatalSignalWritesDump) {
   EXPECT_TRUE(fmmfft::testing::JsonValidator(dump).valid());
   EXPECT_NE(dump.find("\"cause\":\"signal\""), std::string::npos);
   std::remove(pm.c_str());
+}
+
+TEST(PostmortemDeathTest, EnvironmentPathSurvivesStaticInit) {
+  // FMMFFT_POSTMORTEM is read during static initialization, and the path it
+  // sets must outlive the rest of it. The threadsafe style re-executes this
+  // binary, so the child starts from scratch with the variable set.
+  const std::string style = ::testing::GTEST_FLAG(death_test_style);
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ::setenv("FMMFFT_POSTMORTEM", "test_health.env.postmortem.json", 1);
+  EXPECT_EXIT(std::exit(health::postmortem_path() == "test_health.env.postmortem.json" ? 0 : 1),
+              ::testing::ExitedWithCode(0), "");
+  ::unsetenv("FMMFFT_POSTMORTEM");
+  ::testing::GTEST_FLAG(death_test_style) = style;
 }
 #endif

@@ -4,6 +4,7 @@
 // model-vs-measured cross-check on a real distributed run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cmath>
@@ -126,6 +127,58 @@ TEST(Span, LongNamesAreTruncatedNotOverflowed) {
   auto evs = Recorder::global().snapshot();
   ASSERT_EQ(evs.size(), 1u);
   EXPECT_EQ(std::string(evs[0].name).size(), std::size_t(SpanEvent::kNameCap - 1));
+}
+
+TEST(Span, ClearDuringRecordKeepsNoOldSpans) {
+  // clear() must not race a recording thread: after clear-then-snapshot, at
+  // most one span per writer starts before the clear (the one straddling it).
+  ObsSession s(true, false);
+  std::atomic<bool> stop{false};
+  std::thread writer([&stop] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      FMMFFT_SPAN("churn");
+    }
+  });
+  int bad_rounds = 0;
+  std::size_t worst = 0;
+  for (int round = 0; round < 2000; ++round) {
+    const std::uint64_t t_clear = detail::now_ns();
+    Recorder::global().clear();
+    std::size_t old = 0;
+    for (const SpanEvent& e : Recorder::global().snapshot()) old += e.start_ns < t_clear;
+    if (old > 1) {
+      ++bad_rounds;
+      worst = std::max(worst, old);
+    }
+  }
+  stop.store(true);
+  writer.join();
+  EXPECT_EQ(bad_rounds, 0) << "a round kept up to " << worst << " pre-clear spans";
+}
+
+TEST(Span, SharesItsThreadsRingWithFlightEvents) {
+  ObsSession s(true, false);
+  const bool flight_was_on = health::flight_enabled();
+  health::enable_flight(true);
+  {
+    FMMFFT_SPAN("ring-span");
+    FMMFFT_FLIGHT(Mark, 5, 0, "ring-mark");
+  }
+  health::enable_flight(flight_was_on);
+  const auto spans = Recorder::global().snapshot();
+  ASSERT_EQ(spans.size(), 1u);
+  std::vector<RingEvent> mine;
+  for (const RingEvent& ev : Recorder::global().events())
+    if (ev.ring == spans[0].lane) mine.push_back(ev);
+  // Open, mark, close: one ring, in recording order.
+  ASSERT_EQ(mine.size(), 3u);
+  EXPECT_EQ(mine[0].kind, Ev::SpanOpen);
+  EXPECT_STREQ(mine[0].tag, "ring-span");
+  EXPECT_EQ(mine[1].kind, Ev::Mark);
+  EXPECT_STREQ(mine[1].tag, "ring-mark");
+  EXPECT_EQ(mine[2].kind, Ev::SpanClose);
+  EXPECT_EQ(mine[0].t_ns, spans[0].start_ns);
+  EXPECT_EQ(mine[2].t_ns, spans[0].end_ns);
 }
 
 TEST(Counter, ParallelForArithmetic) {
@@ -313,17 +366,22 @@ TEST(Json, ConcurrentRecordWhileDumpStaysValid) {
         FMMFFT_SPAN("churn");
       }
     });
-  // Dump repeatedly while the writers churn: every snapshot must be
-  // self-consistent (only completed spans appear) and valid JSON.
-  std::size_t prev = 0;
+  // Dump repeatedly while the writers churn and their rings wrap: every
+  // dump must be valid JSON, and every snapshot self-consistent (completed
+  // spans only, ordered by start within each lane).
   for (int i = 0; i < 20; ++i) {
     std::ostringstream os;
     Recorder::global().write_chrome_trace(os);
     EXPECT_TRUE(JsonValidator(os.str()).valid()) << os.str();
     const auto evs = Recorder::global().snapshot();
-    EXPECT_GE(evs.size(), prev);  // events only accumulate
-    prev = evs.size();
-    for (const auto& e : evs) EXPECT_GE(e.end_ns, e.start_ns);
+    for (std::size_t k = 0; k < evs.size(); ++k) {
+      EXPECT_GE(evs[k].end_ns, evs[k].start_ns);
+      if (k == 0) continue;
+      EXPECT_GE(evs[k].lane, evs[k - 1].lane);
+      if (evs[k].lane == evs[k - 1].lane) {
+        EXPECT_GE(evs[k].start_ns, evs[k - 1].start_ns);
+      }
+    }
   }
   stop.store(true);
   for (auto& t : ts) t.join();

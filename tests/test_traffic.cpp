@@ -26,6 +26,7 @@
 #include "obs/compare.hpp"
 #include "obs/obs.hpp"
 #include "obs/traffic.hpp"
+#include "oracles.hpp"
 
 // Global allocation counter for the disabled-path test. Counting every
 // operator new in the binary is fine; the test only compares deltas.

@@ -95,7 +95,6 @@ def compare_native(baseline_path, fresh_path):
 
     print_bytes_trend(base, fresh)
     print_precision_split(base, fresh)
-    print_overlap_ratios(base, fresh)
 
     if failures:
         print(f"\nNATIVE BENCH FAILED ({len(failures)} failure(s)):")
@@ -167,28 +166,6 @@ def print_precision_split(base, fresh):
             share = lo["value"] / total if total > 0 else 0.0
             row.append(f"{tag} f32 {lo['value']:.0f}B / f64 {hi['value']:.0f}B "
                        f"({share:.0%} narrow)")
-        print("  " + "  ".join(row))
-
-
-def print_overlap_ratios(base, fresh):
-    """Report-only async/serial speedups for the distributed e2e pairs.
-
-    Every `<name>_serial` bench with a matching `<name>_async` yields one
-    row: serial/async wall time (>1 means the executor overlapped compute
-    with copies). Ratios depend on hardware threads, so they never gate.
-    """
-    pairs = sorted(n[: -len("_serial")] for n in base
-                   if n.endswith("_serial") and n[: -len("_serial")] + "_async" in base)
-    if not pairs:
-        return
-    print("\nasync executor overlap (serial wall / async wall, report-only):")
-    for stem in pairs:
-        row = [stem]
-        for src, tag in ((base, "baseline"), (fresh, "fresh")):
-            s = src.get(stem + "_serial")
-            a = src.get(stem + "_async")
-            if s and a and a["value"] > 0:
-                row.append(f"{tag} {s['value'] / a['value']:.2f}x")
         print("  " + "  ".join(row))
 
 

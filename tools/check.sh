@@ -64,27 +64,36 @@ ctest --test-dir "$BUILD/e2e" -R bench_e2e_smoke --output-on-failure | tail -3
 echo "== trace smoke test =="
 TRACE=$(mktemp --suffix=.json)
 METRICS=$(mktemp --suffix=.json)
-trap 'rm -f "$BUILD_LOG" "$TRACE" "$METRICS"' EXIT
+LEDGER=$(mktemp --suffix=.json)
+trap 'rm -f "$BUILD_LOG" "$TRACE" "$METRICS" "$LEDGER"' EXIT
 # Explicit plan with L > B so every FMM stage (including the per-level
-# M2M/M2L/L2L) appears in the trace.
-FMMFFT_TRACE="$TRACE" FMMFFT_METRICS="$METRICS" FMMFFT_PRECISION=fp64 \
+# M2M/M2L/L2L) appears in the trace. All three at-exit dumps are armed from
+# the environment.
+FMMFFT_TRACE="$TRACE" FMMFFT_METRICS="$METRICS" FMMFFT_TRAFFIC="$LEDGER" FMMFFT_PRECISION=fp64 \
   "$BUILD/examples/fmmfft_cli" --log2n 14 --devices 2 --p 64 --ml 8 --b 2 --q 18 >/dev/null
 
-for f in "$TRACE" "$METRICS"; do
+for f in "$TRACE" "$METRICS" "$LEDGER"; do
   [ -s "$f" ] || { echo "SMOKE FAILED: $f is empty"; exit 1; }
 done
 if command -v python3 >/dev/null; then
-  python3 - "$TRACE" "$METRICS" <<'EOF'
+  python3 - "$TRACE" "$METRICS" "$LEDGER" <<'EOF'
 import json, sys
 trace = json.load(open(sys.argv[1]))
 metrics = json.load(open(sys.argv[2]))
+ledger = json.load(open(sys.argv[3]))
 names = {e["name"] for e in trace}
 need = {"S2M", "M2M", "S2T", "M2L", "M2L-B", "REDUCE", "L2L", "L2T",
         "2DFFT-P", "2DFFT-M", "POST", "xfer:A2A-2D", "xfer:COMM-S"}
 missing = need - names
 assert not missing, f"trace missing spans: {missing}"
 assert metrics["counters"]["fmm.flops"] > 0
-print(f"trace OK: {len(trace)} events, {len(metrics['counters'])} counters")
+assert ledger["schema"] == "fmmfft.traffic.v1", ledger.get("schema")
+fmm = [s for n, s in ledger["scopes"].items() if n.startswith("fmm.")]
+assert fmm, "traffic JSON has no fmm.* scopes"
+assert sum(s["bytes_read"] + s["bytes_written"] for s in fmm) > 0, "fmm.* moved no bytes"
+assert sum(s["flops"] for s in fmm) > 0, "fmm.* did no flops"
+print(f"trace OK: {len(trace)} events, {len(metrics['counters'])} counters, "
+      f"{len(ledger['scopes'])} traffic scopes")
 EOF
 else
   echo "python3 not found; skipped JSON validation (files are non-empty)"
@@ -92,9 +101,9 @@ fi
 
 echo "== traffic ledger smoke test =="
 TRAFFIC=$(mktemp --suffix=.json)
-trap 'rm -f "$BUILD_LOG" "$TRACE" "$METRICS" "$TRAFFIC"' EXIT
+trap 'rm -f "$BUILD_LOG" "$TRACE" "$METRICS" "$LEDGER" "$TRAFFIC"' EXIT
 TRAFFIC_LOG=$(mktemp)
-trap 'rm -f "$BUILD_LOG" "$TRACE" "$METRICS" "$TRAFFIC" "$TRAFFIC_LOG"' EXIT
+trap 'rm -f "$BUILD_LOG" "$TRACE" "$METRICS" "$LEDGER" "$TRAFFIC" "$TRAFFIC_LOG"' EXIT
 # Pinned fp64: this is the shell-width reference the mixed smoke below
 # halves against, and it must stay fp64 even on CI's mixed-precision leg.
 FMMFFT_PRECISION=fp64 \
@@ -149,7 +158,7 @@ echo "== mixed-precision traffic smoke test =="
 # shell-width all-to-all must be untouched.
 TRAFFIC_MX=$(mktemp --suffix=.json)
 TRAFFIC_MX_LOG=$(mktemp)
-trap 'rm -f "$BUILD_LOG" "$TRACE" "$METRICS" "$TRAFFIC" "$TRAFFIC_LOG" "$TRAFFIC_MX" "$TRAFFIC_MX_LOG"' EXIT
+trap 'rm -f "$BUILD_LOG" "$TRACE" "$METRICS" "$LEDGER" "$TRAFFIC" "$TRAFFIC_LOG" "$TRAFFIC_MX" "$TRAFFIC_MX_LOG"' EXIT
 FMMFFT_PRECISION=mixed \
   "$BUILD/examples/fmmfft_cli" --log2n 14 --devices 2 --p 64 --ml 8 --b 2 --q 18 \
   --traffic "$TRAFFIC_MX" | tee "$TRAFFIC_MX_LOG" | grep -E "traffic check" || true
@@ -190,7 +199,7 @@ echo "== 3D decomposition traffic smoke test =="
 TRAFFIC_3DP=$(mktemp --suffix=.json)
 TRAFFIC_3DS=$(mktemp --suffix=.json)
 TRAFFIC_3D_LOG=$(mktemp)
-trap 'rm -f "$BUILD_LOG" "$TRACE" "$METRICS" "$TRAFFIC" "$TRAFFIC_LOG" "$TRAFFIC_MX" "$TRAFFIC_MX_LOG" "$TRAFFIC_3DP" "$TRAFFIC_3DS" "$TRAFFIC_3D_LOG"' EXIT
+trap 'rm -f "$BUILD_LOG" "$TRACE" "$METRICS" "$LEDGER" "$TRAFFIC" "$TRAFFIC_LOG" "$TRAFFIC_MX" "$TRAFFIC_MX_LOG" "$TRAFFIC_3DP" "$TRAFFIC_3DS" "$TRAFFIC_3D_LOG"' EXIT
 FMMFFT_PRECISION=fp64 \
   "$BUILD/examples/fmmfft_cli" --fft3d 32x32x16 --devices 4 --decomp pencil --grid 2x2 \
   --traffic "$TRAFFIC_3DP" | tee "$TRAFFIC_3D_LOG" | grep -E "traffic check|decomp" || true
@@ -233,7 +242,7 @@ fi
 
 echo "== bench regression gate =="
 FRESH=$(mktemp --suffix=.json)
-trap 'rm -f "$BUILD_LOG" "$TRACE" "$METRICS" "$FRESH"' EXIT
+trap 'rm -f "$BUILD_LOG" "$TRACE" "$METRICS" "$LEDGER" "$FRESH"' EXIT
 "$BUILD/bench/bench_runner" "$FRESH" >/dev/null
 if command -v python3 >/dev/null; then
   python3 tools/bench_compare.py BENCH_fmmfft.json "$FRESH" --tolerance 0.15
@@ -244,7 +253,7 @@ fi
 
 echo "== native bench (wall times report-only) =="
 NATIVE=$(mktemp --suffix=.json)
-trap 'rm -f "$BUILD_LOG" "$TRACE" "$METRICS" "$FRESH" "$NATIVE"' EXIT
+trap 'rm -f "$BUILD_LOG" "$TRACE" "$METRICS" "$LEDGER" "$FRESH" "$NATIVE"' EXIT
 "$BUILD/bench/bench_native" "$NATIVE" >/dev/null
 if [ -n "${CHECK_ARTIFACTS_DIR:-}" ]; then
   mkdir -p "$CHECK_ARTIFACTS_DIR"
