@@ -128,36 +128,10 @@ void bench_a2a(index_t m, index_t p, int g) {
   }
   const double bytes = 2.0 * double(m) * double(p) * sizeof(Cx);  // rd + wr
   const double sec = time_best([&] {
-    dist::all_to_all_permute_mp(fabric, in, out, m, p, "A2A-B");
+    dist::exchange_permute_mp(in, out, m, p, "A2A-B").run(fabric);
     fabric.reset();
   });
   record("a2a_fused_g4", "gbytes_per_s", bytes / sec / 1e9, sec);
-}
-
-/// The factorized two-phase Π_{M,P} over a 2×2 grid on the same geometry as
-/// bench_a2a: two sub-communicator hops touch every element twice, so the
-/// numerator counts 2× the one-phase sweep (rate comparable per phase, not
-/// per permutation).
-void bench_a2a_grid(index_t m, index_t p, int g) {
-  using Cx = std::complex<double>;
-  sim::Fabric fabric(g);
-  const index_t slab = m * p / g;
-  Buffer<Cx> bin(m * p), bout(m * p), bwork(m * p);
-  fill_uniform(bin.data(), m * p, 9);
-  std::vector<Cx*> in, out, work;
-  for (int r = 0; r < g; ++r) {
-    in.push_back(bin.data() + r * slab);
-    out.push_back(bout.data() + r * slab);
-    work.push_back(bwork.data() + r * slab);
-  }
-  const dist::ProcGrid grid{2, 2};
-  const double bytes = 2.0 * 2.0 * double(m) * double(p) * sizeof(Cx);  // 2 phases, rd + wr
-  double sec = time_best([&] {
-    dist::exchange_pencil2d_row(in, work, m, p, grid).run(fabric);
-    dist::exchange_pencil2d_col(work, out, m, p, grid).run(fabric);
-    fabric.reset();
-  });
-  record("a2a_pencil_2x2", "gbytes_per_s", bytes / sec / 1e9, sec);
 }
 
 /// Standalone S2T / M2L kernel benches (the register-blocked accumulate
@@ -363,11 +337,10 @@ int main(int argc, char** argv) {
 
   // The Π_{M,P} permutation / Plan2D transpose primitive: cache-oblivious
   // kernel, the in-place square variant, and the fused all-to-all built on
-  // it, one-phase and two-phase.
+  // it.
   bench_transpose("transpose_c64_1024", 1024, 1024);
   bench_transpose_inplace("transpose_inplace_c64_1024", 1024);
   bench_a2a(1024, 1024, 4);
-  bench_a2a_grid(1024, 1024, 4);
 
   bench_engine_kernels();
 

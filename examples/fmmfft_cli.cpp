@@ -51,8 +51,8 @@ struct Options {
   std::string simulate;
   std::uint64_t seed = 1;
   std::string trace, metrics, report, traffic;
-  std::string decomp, grid;  // routed through FMMFFT_DECOMP / FMMFFT_GRID
   std::string fft3d;         // "N0xN1xN2": run the distributed 3D FFT instead
+  std::string decomp, grid;  // --fft3d only; routed through FMMFFT_DECOMP / FMMFFT_GRID
 };
 
 void print_usage(const char* argv0) {
@@ -67,20 +67,23 @@ void print_usage(const char* argv0) {
       "  --eps E                or derive the plan from a target error (default 1e-12)\n"
       "  --seed S               RNG seed for the input vector\n"
       "\n"
-      "distributed decomposition (sets FMMFFT_DECOMP / FMMFFT_GRID):\n"
-      "  --decomp slab|pencil|auto\n"
-      "                         how distributed 2D/3D transforms split across\n"
-      "                         devices: slab = 1D partition, one G-wide\n"
-      "                         all-to-all; pencil = PRxPC grid with two-phase\n"
-      "                         row/column sub-communicator exchanges; auto\n"
-      "                         (default) asks the Sec. 5 cost model\n"
-      "  --grid PRxPC           pin the pencil processor grid (e.g. 2x4); must\n"
-      "                         multiply to G and divide the transform extents\n"
+      "distributed 3D FFT:\n"
       "  --fft3d N0xN1xN2       run a distributed 3D FFT of that shape (pow2\n"
       "                         extents) instead of the FMM-FFT: verifies\n"
       "                         against the single-node reference transform,\n"
       "                         prints the decomposition decision and the\n"
       "                         per-phase exchange payloads\n"
+      "  --decomp slab|pencil|auto\n"
+      "                         (with --fft3d; sets FMMFFT_DECOMP) how the 3D\n"
+      "                         FFT splits across devices: slab = 1D partition,\n"
+      "                         one G-wide all-to-all; pencil = PRxPC grid with\n"
+      "                         two-phase row/column sub-communicator\n"
+      "                         exchanges; auto (default) asks the Sec. 5 cost\n"
+      "                         model. The FMM-FFT's 2D FFT always runs the\n"
+      "                         one-phase exchange\n"
+      "  --grid PRxPC           (with --fft3d; sets FMMFFT_GRID) pin the pencil\n"
+      "                         processor grid (e.g. 2x4); must multiply to G\n"
+      "                         and divide the transform extents\n"
       "\n"
       "modeling:\n"
       "  --simulate 2xk40|2xp100|8xp100\n"
@@ -155,9 +158,15 @@ Options parse(int argc, char** argv) {
     std::printf("--log2n must be in [10, 26] for native execution\n");
     std::exit(2);
   }
-  // --decomp/--grid route through the obs::env registry (like FMMFFT_EXEC):
-  // validate here for an early diagnostic, then publish as the env knobs so
-  // every Dist2dFft/Dist3dFft constructed below resolves them uniformly.
+  // --decomp/--grid choose the 3D FFT's decomposition and mean nothing to
+  // the FMM-FFT, whose 2D FFT always runs the one-phase exchange.
+  if (o.fft3d.empty() && !(o.decomp.empty() && o.grid.empty())) {
+    std::printf("--decomp and --grid apply only to --fft3d\n");
+    std::exit(2);
+  }
+  // They route through the obs::env registry (like FMMFFT_EXEC): validate
+  // here for an early diagnostic, then publish as the env knobs that the
+  // Dist3dFft constructed below resolves.
   try {
     if (!o.decomp.empty()) {
       (void)model::parse_decomp(o.decomp);
@@ -295,7 +304,6 @@ int run(const Options& o) {
   std::vector<Out> y(static_cast<std::size_t>(n));
 
   WallTimer t;
-  int pr = 0, pc = 0;  // the 2D-FFT stage's pencil grid (0/0 = slab)
   if (o.devices > 1) {
     dist::DistFmmFft<InT> plan(prm, o.devices, prec);
     const double setup = t.seconds();
@@ -303,13 +311,6 @@ int run(const Options& o) {
     plan.execute(x.data(), y.data());
     std::printf("setup %.1f ms, execute %.1f ms, comm %.2f MB over the fabric\n", setup * 1e3,
                 t.seconds() * 1e3, plan.fabric().total_bytes() / 1e6);
-    if (plan.fft2d().decomp() == model::Decomp::Pencil) {
-      pr = plan.fft2d().grid().pr;
-      pc = plan.fft2d().grid().pc;
-      std::printf("2D FFT exchange: pencil %dx%d (row %.2f MB + col %.2f MB)\n", pr, pc,
-                  plan.fabric().bytes_with_tag("A2A-ROW") / 1e6,
-                  plan.fabric().bytes_with_tag("A2A-COL") / 1e6);
-    }
   } else {
     core::FmmFft<InT> plan(prm, /*fuse_post=*/true, prec);
     const double setup = t.seconds();
@@ -346,11 +347,10 @@ int run(const Options& o) {
   }
   if (!o.traffic.empty()) {
     // Same ordering constraint: the exact-FFT verification below would add
-    // its own fft bytes to the ledger. pr/pc: when the 2D-FFT stage resolved
-    // to the pencil exchange, check the per-phase payloads instead of A2A-2D.
+    // its own fft bytes to the ledger.
     const auto report = obs::compare_traffic_with_model(
         prm, is_complex_v<InT> ? 2 : 1, o.devices, sizeof(Real), 1,
-        fmm::translation_real_bytes(prec, sizeof(Real)), pr, pc);
+        fmm::translation_real_bytes(prec, sizeof(Real)));
     std::printf("\ntraffic vs model (FMMFFT_TRAFFIC):\n%s", report.to_string().c_str());
     std::printf("traffic check: %s\n", report.all_ok() ? "OK" : "DEVIATION");
     std::printf("\n%s", obs::TrafficLedger::global().report().c_str());

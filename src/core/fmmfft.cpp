@@ -37,8 +37,9 @@ struct FmmFft<InT>::Impl {
 
   bool mixed() const { return prec == fmm::Precision::Mixed && sizeof(Real) == 8; }
 
+  // p is validated before any member is built from it: plan_m divides by P.
   explicit Impl(const fmm::Params& p, bool fuse, fmm::Precision pr)
-      : prm(p),
+      : prm((p.validate(), p)),
         fuse_post(fuse),
         prec(pr),
         plan_p(p.p),

@@ -4,10 +4,12 @@
 // exec::TaskGraph, as per-message tasks when the graph runs on the pool or
 // as one task calling `run` when it drains on one thread. One builder per
 // pattern produces the list: the one-phase Π_{M,P} block-to-cyclic
-// all-to-all (chunked), the row and column phases of the 2D and 3D pencil
-// exchanges, the ring halo exchange and the allgather. Message granularity
-// is one (src, dst) pair per device pair and producer chunk, so fabric byte
-// counts correspond to real message traffic.
+// all-to-all (chunked; the 2D FFT's and the 3D slab's only exchange), the
+// row and column phases of the 3D pencil exchange, the ring halo exchange
+// and the allgather. Message granularity is one (src, dst) pair per device
+// pair and producer chunk, so fabric byte counts correspond to real message
+// traffic. Beside them sit the graph builders' two per-device helpers: a
+// chunked compute phase (the FFT lines between exchanges) and an empty join.
 //
 // A message moves its data in one of two ways. A *strided scatter* is
 // fused: devices share one address space in the simulator, so the sender
@@ -22,7 +24,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,7 +42,7 @@ namespace fmmfft::dist {
 
 /// Which exchange a strided scatter belongs to, for the traffic ledger: the
 /// one-phase global all-to-all, or the row / column sub-communicator phase
-/// of a pencil two-phase exchange.
+/// of the 3D pencil exchange.
 enum class A2aScope { Global, Row, Col };
 
 /// Per-device data pointers of a set of device buffers.
@@ -68,13 +69,46 @@ inline std::pair<index_t, index_t> chunk_range(index_t n, index_t chunks, index_
   return {std::min(n, c * step), std::min(n, c * step + step)};
 }
 
+/// One phase of device r's compute, `n` items (FFT lines or planes) cut
+/// into `chunks` pieces by chunk_range: an unordered task
+/// "<name> d<r> c<c>" per non-empty piece on r's compute lane, tagged
+/// `stage`, running body(lo, hi). Every piece waits on `deps`; piece c also
+/// waits on `chained[c]` when given, so a phase can follow an earlier one
+/// of the same chunking piece by piece. Pieces touch disjoint items, so
+/// their order cannot change bits. Returns the pieces' tasks in order.
+template <typename Body>
+std::vector<exec::TaskId> submit_phase(exec::TaskGraph& graph, const exec::DeviceLanes& lanes,
+                                       int r, const char* name, const char* stage, index_t n,
+                                       index_t chunks, const std::vector<exec::TaskId>& deps,
+                                       Body body, const std::vector<exec::TaskId>& chained = {}) {
+  std::vector<exec::TaskId> ids;
+  for (index_t c = 0; c < chunks; ++c) {
+    const auto [lo, hi] = chunk_range(n, chunks, c);
+    if (lo >= hi) break;
+    std::vector<exec::TaskId> after = deps;
+    if (!chained.empty()) after.push_back(chained[(std::size_t)c]);
+    ids.push_back(graph.submit(std::string(name) + " d" + std::to_string(r) + " c" +
+                                   std::to_string(c),
+                               {lanes.compute(r), /*ordered=*/false, stage},
+                               [body, lo = lo, hi = hi] { body(lo, hi); }, std::move(after)));
+  }
+  return ids;
+}
+
+/// An empty task "<name> d<r>" on device r's compute lane that finishes once
+/// every task in `deps` has: one id for later work on r to wait on.
+inline exec::TaskId submit_join(exec::TaskGraph& graph, const exec::DeviceLanes& lanes, int r,
+                                const char* name, std::vector<exec::TaskId> deps) {
+  return graph.submit(std::string(name) + " d" + std::to_string(r),
+                      {lanes.compute(r), /*ordered=*/false, "sync"}, [] {}, std::move(deps));
+}
+
 /// One inter-device exchange: the pair messages of one collective phase,
 /// sharing a fabric tag, a ledger scope and a task-label stem.
 template <typename T>
 struct Exchange {
   enum class Move {
     Transpose,  ///< strided scatter: batch × (y[j + i·out_ld] = x[i + j·in_ld])
-    Copy,       ///< strided scatter: batch × (y[i + j·out_ld] = x[i + j·in_ld])
     Send,       ///< contiguous send of nr elements
   };
   /// Element (i, j) of batch b, i < nr, j < nc, sits at in + b·in_bstride
@@ -163,7 +197,9 @@ struct Exchange {
       return t;
     }
     for (const Message& m : msgs) {
-      std::string sfx = " " + std::to_string(m.src) + "->" + std::to_string(m.dst);
+      // A char, not " ": GCC 12 flags the one-character literal's insert with
+      // a false -Wrestrict once this body is inlined.
+      std::string sfx = ' ' + std::to_string(m.src) + "->" + std::to_string(m.dst);
       if (chunked) sfx += " c" + std::to_string(m.chunk);
       std::vector<exec::TaskId> deps = gates(m);
       const int copy_lane = lanes.copy(m.src, m.dst);
@@ -206,16 +242,9 @@ struct Exchange {
         FMMFFT_TRAFFIC_RW("a2a.col.unpack", 0, payload, 0);
         break;
     }
-    for (index_t b = 0; b < m.batch; ++b) {
-      const T* x = m.in + b * m.in_bstride;
-      T* y = m.out + b * m.out_bstride;
-      if (m.move == Move::Transpose) {
-        fmmfft::detail::transpose_strided_serial(x, m.in_ld, y, m.out_ld, m.nr, m.nc);
-      } else {
-        for (index_t j = 0; j < m.nc; ++j)
-          std::memcpy(y + j * m.out_ld, x + j * m.in_ld, std::size_t(m.nr) * sizeof(T));
-      }
-    }
+    for (index_t b = 0; b < m.batch; ++b)
+      fmmfft::detail::transpose_strided_serial(m.in + b * m.in_bstride, m.in_ld,
+                                               m.out + b * m.out_bstride, m.out_ld, m.nr, m.nc);
   }
 
   /// The fabric half: a send copies and accounts, a scatter (already
@@ -277,69 +306,6 @@ Exchange<T> exchange_permute_mp(const std::vector<T*>& in, const std::vector<T*>
                           .out = out[(std::size_t)rr] + r * mg + lo,
                           .nr = pg, .nc = hi - lo, .in_ld = p, .out_ld = m});
       }
-  return x;
-}
-
-/// Row phase of the factorized two-phase Π_{M,P} over a pr×pc grid (the
-/// Dalcin / AccFFT pencil exchange): sender s = (i,j) ships to t = (i,jj)
-/// the pr blocks of p destined for grid column jj, keeping p-fastest order
-/// (pure row copies, chunked over s's local m-rows). work[t] layout:
-/// [sender column j][final row ii][pm·pg + pp]; N/G elements per device.
-template <typename T>
-Exchange<T> exchange_pencil2d_row(const std::vector<T*>& in, const std::vector<T*>& work,
-                                  index_t m, index_t p, const ProcGrid& grid,
-                                  index_t chunks = 1) {
-  using X = Exchange<T>;
-  const int g = grid.devices(), pr = grid.pr, pc = grid.pc;
-  FMMFFT_CHECK((index_t)in.size() == g && (index_t)work.size() == g && chunks >= 1);
-  FMMFFT_CHECK(m % g == 0 && p % g == 0);
-  const index_t mg = m / g, pg = p / g, block = pg * mg;
-  detail::check_disjoint(in, work, mg * p);
-  X x{.devices = g, .tag = "A2A-ROW", .scope = A2aScope::Row, .label = "row-", .chunked = true};
-  x.msgs.reserve(std::size_t(g * pc * std::min(chunks, mg)));
-  for (int s = 0; s < g; ++s) {
-    const int i = grid.row_of(s), j = grid.col_of(s);
-    for (int jj = 0; jj < pc; ++jj) {
-      const int t = grid.device(i, jj);
-      for (index_t c = 0; c < chunks; ++c) {
-        const auto [lo, hi] = chunk_range(mg, chunks, c);
-        if (lo >= hi) break;
-        x.msgs.push_back({.src = s, .dst = t, .chunk = int(c), .move = X::Move::Copy,
-                          .in = in[(std::size_t)s] + jj * pg + lo * p,
-                          .out = work[(std::size_t)t] + j * pr * block + lo * pg,
-                          .nr = pg, .nc = hi - lo, .in_ld = p, .out_ld = pg,
-                          .batch = pr, .in_bstride = pc * pg, .out_bstride = block});
-      }
-    }
-  }
-  return x;
-}
-
-/// Column phase of the two-phase Π_{M,P}: t = (i,jj) scatters batch ii of
-/// every sender column into d = (ii,jj)'s final cyclic layout — the only
-/// transposing hop. Row then column is bit-identical to the one phase.
-template <typename T>
-Exchange<T> exchange_pencil2d_col(const std::vector<T*>& work, const std::vector<T*>& out,
-                                  index_t m, index_t p, const ProcGrid& grid) {
-  using X = Exchange<T>;
-  const int g = grid.devices(), pr = grid.pr, pc = grid.pc;
-  FMMFFT_CHECK((index_t)work.size() == g && (index_t)out.size() == g);
-  FMMFFT_CHECK(m % g == 0 && p % g == 0);
-  const index_t mg = m / g, pg = p / g, block = pg * mg;
-  detail::check_disjoint(work, out, mg * p);
-  X x{.devices = g, .tag = "A2A-COL", .scope = A2aScope::Col, .label = "col-"};
-  x.msgs.reserve(std::size_t(g * pr));
-  for (int t = 0; t < g; ++t) {
-    const int i = grid.row_of(t), jj = grid.col_of(t);
-    for (int ii = 0; ii < pr; ++ii) {
-      const int d = grid.device(ii, jj);
-      x.msgs.push_back({.src = t, .dst = d, .move = X::Move::Transpose,
-                        .in = work[(std::size_t)t] + ii * block,
-                        .out = out[(std::size_t)d] + i * pc * mg,
-                        .nr = pg, .nc = mg, .in_ld = pg, .out_ld = m,
-                        .batch = pc, .in_bstride = pr * block, .out_bstride = mg});
-    }
-  }
   return x;
 }
 
@@ -449,14 +415,6 @@ Exchange<T> exchange_allgather(const std::vector<const T*>& src, const std::vect
                         .out = to, .nr = slab_elems});
     }
   return x;
-}
-
-/// Serial one-phase Π_{M,P} all-to-all (tests and benches).
-template <typename T>
-void all_to_all_permute_mp(sim::Fabric& fabric, const std::vector<T*>& in,
-                           const std::vector<T*>& out, index_t m, index_t p,
-                           const std::string& tag) {
-  exchange_permute_mp(in, out, m, p, tag).run(fabric);
 }
 
 }  // namespace fmmfft::dist

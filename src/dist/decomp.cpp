@@ -22,10 +22,17 @@ model::GridShape env_grid(model::GridShape requested) {
   return v && *v ? model::parse_grid(v) : model::GridShape{};
 }
 
-/// The canonical modeling system for autotuned decisions (the simulator's
-/// default P100/NVLink fabric). The decision only depends on relative
-/// slab-vs-pencil exchange shape, not absolute wall times.
-DecompChoice finalize(const model::DecompDecision& decision) {
+}  // namespace
+
+DecompChoice resolve_decomp_3d(int g, index_t n0, index_t n1, index_t n2,
+                               model::Decomp requested, model::GridShape requested_grid) {
+  // The canonical modeling system for autotuned decisions (the simulator's
+  // default P100/NVLink fabric). The decision only depends on relative
+  // slab-vs-pencil exchange shape, not absolute wall times.
+  const model::Workload w{n0 * n1 * n2, /*is_complex=*/true, /*is_double=*/true};
+  const model::DecompDecision decision =
+      model::choose_decomp(env_decomp(requested), env_grid(requested_grid), n0, n1, n2, g, w,
+                           model::p100_nvlink(g));
   DecompChoice out;
   out.decision = decision;
   out.decomp = decision.chosen;
@@ -40,22 +47,6 @@ DecompChoice finalize(const model::DecompDecision& decision) {
     m.gauge("decomp.auto.pencil_seconds").set(decision.pencil_seconds);
   }
   return out;
-}
-
-}  // namespace
-
-DecompChoice resolve_decomp_2d(int g, index_t m, index_t p, model::Decomp requested,
-                               model::GridShape requested_grid) {
-  const model::Workload w{m * p, /*is_complex=*/true, /*is_double=*/true};
-  return finalize(model::choose_decomp_2d(env_decomp(requested), env_grid(requested_grid), m,
-                                          p, g, w, model::p100_nvlink(g)));
-}
-
-DecompChoice resolve_decomp_3d(int g, index_t n0, index_t n1, index_t n2,
-                               model::Decomp requested, model::GridShape requested_grid) {
-  const model::Workload w{n0 * n1 * n2, /*is_complex=*/true, /*is_double=*/true};
-  return finalize(model::choose_decomp(env_decomp(requested), env_grid(requested_grid), n0,
-                                       n1, n2, g, w, model::p100_nvlink(g)));
 }
 
 }  // namespace fmmfft::dist

@@ -1,7 +1,7 @@
-// Decomposition resolution for the distributed drivers: fold together the
-// caller's constructor request, the FMMFFT_DECOMP / FMMFFT_GRID environment
-// knobs, and (when everything still says "auto") the model::choose_decomp
-// cost comparison. Lives in dist/ rather than model/ because the env
+// Decomposition resolution for the distributed 3D FFT (dist::Dist3dFft):
+// fold together the caller's constructor request, the FMMFFT_DECOMP /
+// FMMFFT_GRID environment knobs, and (when everything still says "auto")
+// the model::choose_decomp cost comparison. Lives in dist/ rather than model/ because the env
 // registry and the decomp.auto.* decision metrics are obs:: facilities the
 // model layer deliberately does not link.
 #pragma once
@@ -18,16 +18,11 @@ struct DecompChoice {
   model::DecompDecision decision;              ///< the underlying model verdict
 };
 
-/// Resolve the decomposition of a distributed M×P 2D transform on g devices.
-/// Precedence: explicit `requested` argument > FMMFFT_DECOMP > cost model.
-/// A grid passed as `requested_grid` beats FMMFFT_GRID. When the model
-/// decides (everything "auto") and metrics are enabled, records the
+/// Resolve the decomposition of a distributed n0×n1×n2 3D transform on g
+/// devices. Precedence: explicit `requested` argument > FMMFFT_DECOMP > cost
+/// model. A grid passed as `requested_grid` beats FMMFFT_GRID. When the
+/// model decides (everything "auto") and metrics are enabled, records the
 /// decomp.auto.* gauges (pencil 0/1, pr, pc, modeled slab/pencil seconds).
-DecompChoice resolve_decomp_2d(int g, index_t m, index_t p,
-                               model::Decomp requested = model::Decomp::Auto,
-                               model::GridShape requested_grid = {});
-
-/// Same resolution for an n0×n1×n2 3D transform.
 DecompChoice resolve_decomp_3d(int g, index_t n0, index_t n1, index_t n2,
                                model::Decomp requested = model::Decomp::Auto,
                                model::GridShape requested_grid = {});

@@ -75,17 +75,10 @@ void DistFft1d<T>::execute(const std::complex<T>* in, std::complex<T>* out) {
 }
 
 template <typename T>
-Dist2dFft<T>::Dist2dFft(index_t m, index_t p, int g, model::Decomp decomp,
-                        model::GridShape grid)
+Dist2dFft<T>::Dist2dFft(index_t m, index_t p, int g)
     : m_(m), p_(p), g_(g), fabric_(g), plan_m_(m), plan_p_(p) {
   FMMFFT_CHECK_MSG(m % g == 0 && p % g == 0, "G must divide both 2D FFT dimensions");
-  const DecompChoice choice = resolve_decomp_2d(g, m, p, decomp, grid);
-  decomp_ = choice.decomp;
-  grid_ = choice.grid;
-  decision_ = choice.decision;
   for (int r = 0; r < g_; ++r) scratch_.emplace_back(m_ * p_ / g_);
-  if (decomp_ == model::Decomp::Pencil)
-    for (int r = 0; r < g_; ++r) work_.emplace_back(m_ * p_ / g_);
 }
 
 template <typename T>
@@ -111,87 +104,49 @@ std::vector<exec::TaskId> Dist2dFft<T>::submit_slabs(exec::TaskGraph& graph,
   const index_t nc = phase_chunks(g_, mg);
   auto sc = buffer_ptrs(scratch_);
 
-  // (a) Row FFTs, one task per chunk of contiguous p-major rows. Rows are
-  // independent lines, so chunks are unordered: order cannot change bits.
+  // (a) Row FFTs over chunks of each device's contiguous p-major rows.
   std::vector<std::vector<exec::TaskId>> fftp((std::size_t)g_);
-  for (int r = 0; r < g_; ++r)
-    for (index_t c = 0; c < nc; ++c) {
-      const auto [lo, hi] = chunk_range(mg, nc, c);
-      if (lo >= hi) break;
-      std::vector<exec::TaskId> deps;
-      if (!ready.empty()) deps.push_back(ready[(std::size_t)r]);
-      Cx* base = slabs[(std::size_t)r] + lo * p_;
-      const index_t rows = hi - lo;
-      fftp[(std::size_t)r].push_back(graph.submit(
-          "fftp d" + std::to_string(r) + " c" + std::to_string(c),
-          {lanes.compute(r), /*ordered=*/false, "fft"},
-          [this, base, rows] {
-            FMMFFT_SPAN("2DFFT-P");
-            plan_p_.execute_batched(base, rows, fft::Direction::Forward);
-          },
-          std::move(deps)));
-    }
-  auto row_fft = [&](int s, int c) { return fftp[(std::size_t)s][(std::size_t)c]; };
+  for (int r = 0; r < g_; ++r) {
+    std::vector<exec::TaskId> deps;
+    if (!ready.empty()) deps.push_back(ready[(std::size_t)r]);
+    Cx* rows = slabs[(std::size_t)r];
+    fftp[(std::size_t)r] = submit_phase(graph, lanes, r, "fftp", "fft", mg, nc, deps,
+                                        [this, rows](index_t lo, index_t hi) {
+                                          FMMFFT_SPAN("2DFFT-P");
+                                          plan_p_.execute_batched(rows + lo * p_, hi - lo,
+                                                                  fft::Direction::Forward);
+                                        });
+  }
 
   // (b) The single all-to-all, chunk-pipelined and fused: each pair's
   // chunk scatters straight into the receiver's scratch slab as soon as
   // the row FFT that produced its rows is done, and chunks overlap freely
-  // (disjoint receiver regions). Pencil mode runs the row phase the same
-  // way into the work buffers, joins per intermediate device, then runs
-  // the column phase into the scratch slabs. a2a.reads[r] ends up holding
-  // the tasks that read slabs[r].
-  typename Exchange<Cx>::Tasks a2a;
-  std::string join_label = "a2a-join d";
-  if (decomp_ == model::Decomp::Pencil) {
-    auto wk = buffer_ptrs(work_);
-    auto row = exchange_pencil2d_row(slabs, wk, m_, p_, grid_, nc).submit(graph, lanes, fabric,
-                                                                          row_fft);
-    std::vector<exec::TaskId> row_join((std::size_t)g_);
-    for (int t = 0; t < g_; ++t)
-      row_join[(std::size_t)t] =
-          graph.submit("row-join d" + std::to_string(t),
-                       {lanes.compute(t), /*ordered=*/false, "sync"}, [] {},
-                       row.arrived[(std::size_t)t]);
-    a2a = exchange_pencil2d_col(wk, sc, m_, p_, grid_)
-              .submit(graph, lanes, fabric, [&](int t, int) { return row_join[(std::size_t)t]; });
-    a2a.reads = std::move(row.reads);
-    join_label = "col-join d";
-  } else {
-    a2a = exchange_permute_mp(slabs, sc, m_, p_, "A2A-2D", nc).submit(graph, lanes, fabric,
-                                                                      row_fft);
-  }
+  // (disjoint receiver regions). a2a.reads[r] holds the tasks that read
+  // slabs[r].
+  const auto a2a = exchange_permute_mp(slabs, sc, m_, p_, "A2A-2D", nc)
+                       .submit(graph, lanes, fabric, [&](int s, int c) {
+                         return fftp[(std::size_t)s][(std::size_t)c];
+                       });
 
   // (c) Column FFTs per device once every fragment of its scratch slab has
-  // arrived (join meta-task), then the slab write-back — which must also
-  // wait for every pack that still reads this device's slab (WAR hazard).
+  // arrived, then the slab write-back — which must also wait for every pack
+  // that still reads this device's slab (WAR hazard).
   std::vector<exec::TaskId> terminal((std::size_t)g_);
   for (int r = 0; r < g_; ++r) {
     const exec::TaskId join =
-        graph.submit(join_label + std::to_string(r),
-                     {lanes.compute(r), /*ordered=*/false, "sync"}, [] {},
-                     a2a.arrived[(std::size_t)r]);
-    std::vector<exec::TaskId> fftm;
-    for (index_t c = 0; c < nc; ++c) {
-      const auto [lo, hi] = chunk_range(pg, nc, c);
-      if (lo >= hi) break;
-      Cx* base = sc[(std::size_t)r] + lo * m_;
-      const index_t rows = hi - lo;
-      fftm.push_back(graph.submit(
-          "fftm d" + std::to_string(r) + " c" + std::to_string(c),
-          {lanes.compute(r), /*ordered=*/false, "fft"},
-          [this, base, rows] {
-            FMMFFT_SPAN("2DFFT-M");
-            plan_m_.execute_batched(base, rows, fft::Direction::Forward);
-          },
-          {join}));
-    }
-    std::vector<exec::TaskId> deps = fftm;
+        submit_join(graph, lanes, r, "a2a-join", a2a.arrived[(std::size_t)r]);
+    Cx* cols = sc[(std::size_t)r];
+    auto deps = submit_phase(graph, lanes, r, "fftm", "fft", pg, nc, {join},
+                             [this, cols](index_t lo, index_t hi) {
+                               FMMFFT_SPAN("2DFFT-M");
+                               plan_m_.execute_batched(cols + lo * m_, hi - lo,
+                                                       fft::Direction::Forward);
+                             });
     deps.insert(deps.end(), a2a.reads[(std::size_t)r].begin(), a2a.reads[(std::size_t)r].end());
     Cx* dst = slabs[(std::size_t)r];
-    const Cx* src = sc[(std::size_t)r];
     terminal[(std::size_t)r] = graph.submit(
         "writeback d" + std::to_string(r), {lanes.compute(r), /*ordered=*/true, "fft"},
-        [dst, src, slab] { std::memcpy(dst, src, sizeof(Cx) * (std::size_t)slab); },
+        [dst, cols, slab] { std::memcpy(dst, cols, sizeof(Cx) * (std::size_t)slab); },
         std::move(deps));
   }
   return terminal;

@@ -13,13 +13,10 @@
 #pragma once
 
 #include <complex>
-#include <memory>
 #include <vector>
 
 #include "common/aligned.hpp"
 #include "common/types.hpp"
-#include "dist/decomp.hpp"
-#include "dist/procgrid.hpp"
 #include "exec/executor.hpp"
 #include "fft/fft.hpp"
 #include "sim/fabric.hpp"
@@ -54,19 +51,13 @@ class DistFft1d {
 
 /// Distributed M×P 2D FFT in the FMM-FFT's p-major layout: input element
 /// (p, m) at position p + m·P, block partitioned over m; output in order.
-///
-/// The single Π_{M,P} exchange runs in either decomposition: slab (the
-/// one-phase G-wide all-to-all, tag A2A-2D) or pencil (the factorized
-/// two-phase form over a pr×pc grid — row phase A2A-ROW, column phase
-/// A2A-COL — each confined to a √G-ish sub-communicator). Both move the
-/// same element values with pure copies, so results are bit-identical.
+/// Its one Π_{M,P} exchange is the one-phase G-wide all-to-all (tag
+/// A2A-2D); FMMFFT_DECOMP/FMMFFT_GRID govern only Dist3dFft.
 template <typename T>
 class Dist2dFft {
  public:
-  /// `decomp`/`grid` default to the environment / cost-model resolution
-  /// (dist::resolve_decomp_2d: ctor argument > FMMFFT_DECOMP > model).
-  Dist2dFft(index_t m, index_t p, int g, model::Decomp decomp = model::Decomp::Auto,
-            model::GridShape grid = {});
+  /// G devices must divide both dimensions.
+  Dist2dFft(index_t m, index_t p, int g);
 
   void execute(const std::complex<T>* in, std::complex<T>* out);
 
@@ -77,13 +68,13 @@ class Dist2dFft {
 
   /// Submit the whole 2D FFT as tasks on `graph` — per-device row-FFT
   /// chunks, the single all-to-all as per-(pair, chunk) fused scatter
-  /// (pack) + link accounting (copy) tasks — in pencil mode its row phase,
-  /// a per-device join and its column phase — then column-FFT chunks and
-  /// the slab write-back, so copies overlap neighbouring FFT chunks as
-  /// dist::dist2dfft_schedule models. A graph that drains on one thread
-  /// gets one chunk per phase and device and one task per exchange.
-  /// `ready[r]` (optional) gates device r's first task; returns the
-  /// per-device terminal task (slab writes complete when it finishes).
+  /// (pack) + link accounting (copy) tasks, a per-device join, then
+  /// column-FFT chunks and the slab write-back, so copies overlap
+  /// neighbouring FFT chunks as dist::dist2dfft_schedule models. A graph
+  /// that drains on one thread gets one chunk per phase and device and one
+  /// task for the exchange. `ready[r]` (optional) gates device r's first
+  /// task; returns the per-device terminal task (slab writes complete when
+  /// it finishes).
   std::vector<exec::TaskId> submit_slabs(exec::TaskGraph& graph,
                                          const exec::DeviceLanes& lanes,
                                          const std::vector<std::complex<T>*>& slabs,
@@ -91,20 +82,13 @@ class Dist2dFft {
                                          const std::vector<exec::TaskId>& ready = {});
 
   const sim::Fabric& fabric() const { return fabric_; }
-  model::Decomp decomp() const { return decomp_; }
-  const ProcGrid& grid() const { return grid_; }
-  const model::DecompDecision& decision() const { return decision_; }
 
  private:
   index_t m_, p_;
   int g_;
-  model::Decomp decomp_ = model::Decomp::Slab;
-  ProcGrid grid_;
-  model::DecompDecision decision_;
   sim::Fabric fabric_;
   fft::Plan1D<T> plan_m_, plan_p_;
   std::vector<Buffer<std::complex<T>>> scratch_;
-  std::vector<Buffer<std::complex<T>>> work_;  ///< pencil intermediate (N/G each)
 };
 
 }  // namespace fmmfft::dist

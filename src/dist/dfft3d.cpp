@@ -87,52 +87,42 @@ std::vector<exec::TaskId> Dist3dFft<T>::submit_slab(exec::TaskGraph& graph,
   const index_t n2g = n2_ / g_, plane = n0_ * n1_, pg01 = plane / g_;
   const index_t nc = phase_chunks(g_, n2g);
 
-  // Per-chunk fft0 → reorient → fft1 over each device's local i2 planes.
+  // fft0 → reorient → fft1 over chunks of each device's local i2 planes,
+  // chained chunk by chunk.
   std::vector<std::vector<exec::TaskId>> fft1((std::size_t)g_), trans((std::size_t)g_);
-  for (int r = 0; r < g_; ++r)
-    for (index_t c = 0; c < nc; ++c) {
-      const auto [lo, hi] = chunk_range(n2g, nc, c);
-      if (lo >= hi) break;
-      Cx* ap = a[(std::size_t)r] + lo * plane;
-      Cx* bp = b[(std::size_t)r] + lo * plane;
-      const index_t planes = hi - lo;
-      const exec::TaskId f0 = graph.submit(
-          "fft0 d" + std::to_string(r) + " c" + std::to_string(c),
-          {lanes.compute(r), /*ordered=*/false, "fft"},
-          [this, ap, planes] {
-            FMMFFT_SPAN("3DFFT-0");
-            plan0_.execute_batched(ap, planes * n1_, fft::Direction::Forward);
-          },
-          {});
-      const exec::TaskId tr = graph.submit(
-          "t01 d" + std::to_string(r) + " c" + std::to_string(c),
-          {lanes.compute(r), /*ordered=*/false, "transpose"},
-          [this, ap, bp, planes, plane] {
-            // Local reorientation to i1-fastest, one plane at a time.
-            FMMFFT_SPAN("3DFFT-T01");
-            for (index_t t = 0; t < planes; ++t)
-              transpose_blocked(ap + t * plane, bp + t * plane, n0_, n1_);
-          },
-          {f0});
-      trans[(std::size_t)r].push_back(tr);
-      fft1[(std::size_t)r].push_back(graph.submit(
-          "fft1 d" + std::to_string(r) + " c" + std::to_string(c),
-          {lanes.compute(r), /*ordered=*/false, "fft"},
-          [this, bp, planes] {
-            FMMFFT_SPAN("3DFFT-1");
-            plan1_.execute_batched(bp, planes * n0_, fft::Direction::Forward);
-          },
-          {tr}));
-    }
+  for (int r = 0; r < g_; ++r) {
+    Cx* ap = a[(std::size_t)r];
+    Cx* bp = b[(std::size_t)r];
+    const auto f0 = submit_phase(graph, lanes, r, "fft0", "fft", n2g, nc, {},
+                                 [this, ap, plane](index_t lo, index_t hi) {
+                                   FMMFFT_SPAN("3DFFT-0");
+                                   plan0_.execute_batched(ap + lo * plane, (hi - lo) * n1_,
+                                                          fft::Direction::Forward);
+                                 });
+    trans[(std::size_t)r] = submit_phase(
+        graph, lanes, r, "t01", "transpose", n2g, nc, {},
+        [this, ap, bp, plane](index_t lo, index_t hi) {
+          // Local reorientation to i1-fastest, one plane at a time.
+          FMMFFT_SPAN("3DFFT-T01");
+          for (index_t t = lo; t < hi; ++t)
+            transpose_blocked(ap + t * plane, bp + t * plane, n0_, n1_);
+        },
+        f0);
+    fft1[(std::size_t)r] = submit_phase(graph, lanes, r, "fft1", "fft", n2g, nc, {},
+                                        [this, bp, plane](index_t lo, index_t hi) {
+                                          FMMFFT_SPAN("3DFFT-1");
+                                          plan1_.execute_batched(bp + lo * plane,
+                                                                 (hi - lo) * n0_,
+                                                                 fft::Direction::Forward);
+                                        },
+                                        trans[(std::size_t)r]);
+  }
 
   // WAR gate: a pack scattering into device rr's A slab must wait until
   // rr's reorientation chunks have finished reading it.
   std::vector<exec::TaskId> war((std::size_t)g_);
   for (int r = 0; r < g_; ++r)
-    war[(std::size_t)r] =
-        graph.submit("t01-done d" + std::to_string(r),
-                     {lanes.compute(r), /*ordered=*/false, "sync"}, [] {},
-                     trans[(std::size_t)r]);
+    war[(std::size_t)r] = submit_join(graph, lanes, r, "t01-done", trans[(std::size_t)r]);
 
   // The one G-wide exchange, chunk-pipelined exactly like Dist2dFft: a
   // chunk's fused scatter waits only on the fft1 chunk that produced its
@@ -147,27 +137,15 @@ std::vector<exec::TaskId> Dist3dFft<T>::submit_slab(exec::TaskGraph& graph,
   std::vector<exec::TaskId> terminal((std::size_t)g_);
   for (int r = 0; r < g_; ++r) {
     const exec::TaskId join =
-        graph.submit("a2a-join d" + std::to_string(r),
-                     {lanes.compute(r), /*ordered=*/false, "sync"}, [] {},
-                     a2a.arrived[(std::size_t)r]);
-    std::vector<exec::TaskId> fft2;
-    for (index_t c = 0; c < nc; ++c) {
-      const auto [lo, hi] = chunk_range(pg01, nc, c);
-      if (lo >= hi) break;
-      Cx* base = a[(std::size_t)r] + lo * n2_;
-      const index_t lines = hi - lo;
-      fft2.push_back(graph.submit(
-          "fft2 d" + std::to_string(r) + " c" + std::to_string(c),
-          {lanes.compute(r), /*ordered=*/false, "fft"},
-          [this, base, lines] {
-            FMMFFT_SPAN("3DFFT-2");
-            plan2_.execute_batched(base, lines, fft::Direction::Forward);
-          },
-          {join}));
-    }
-    terminal[(std::size_t)r] =
-        graph.submit("done d" + std::to_string(r),
-                     {lanes.compute(r), /*ordered=*/false, "sync"}, [] {}, std::move(fft2));
+        submit_join(graph, lanes, r, "a2a-join", a2a.arrived[(std::size_t)r]);
+    Cx* ap = a[(std::size_t)r];
+    auto fft2 = submit_phase(graph, lanes, r, "fft2", "fft", pg01, nc, {join},
+                             [this, ap](index_t lo, index_t hi) {
+                               FMMFFT_SPAN("3DFFT-2");
+                               plan2_.execute_batched(ap + lo * n2_, hi - lo,
+                                                      fft::Direction::Forward);
+                             });
+    terminal[(std::size_t)r] = submit_join(graph, lanes, r, "done", std::move(fft2));
   }
   return terminal;
 }
@@ -184,21 +162,16 @@ std::vector<exec::TaskId> Dist3dFft<T>::submit_pencil(exec::TaskGraph& graph,
 
   // (a) fft0 chunks over local i2 planes of the x-pencils.
   std::vector<std::vector<exec::TaskId>> fft0((std::size_t)g_);
-  for (int d = 0; d < g_; ++d)
-    for (index_t c = 0; c < nc; ++c) {
-      const auto [lo, hi] = chunk_range(n2pr, nc, c);
-      if (lo >= hi) break;
-      Cx* base = a[(std::size_t)d] + lo * n0_ * n1pc;
-      const index_t planes = hi - lo;
-      fft0[(std::size_t)d].push_back(graph.submit(
-          "fft0 d" + std::to_string(d) + " c" + std::to_string(c),
-          {lanes.compute(d), /*ordered=*/false, "fft"},
-          [this, base, planes, n1pc] {
-            FMMFFT_SPAN("3DFFT-0");
-            plan0_.execute_batched(base, planes * n1pc, fft::Direction::Forward);
-          },
-          {}));
-    }
+  for (int d = 0; d < g_; ++d) {
+    Cx* ad = a[(std::size_t)d];
+    fft0[(std::size_t)d] = submit_phase(graph, lanes, d, "fft0", "fft", n2pr, nc, {},
+                                        [this, ad, n1pc](index_t lo, index_t hi) {
+                                          FMMFFT_SPAN("3DFFT-0");
+                                          plan0_.execute_batched(ad + lo * n0_ * n1pc,
+                                                                 (hi - lo) * n1pc,
+                                                                 fft::Direction::Forward);
+                                        });
+  }
 
   // (b) Row-phase packs, chunked over the same i2 planes so a pair's first
   // chunks ship while the sender's remaining fft0 chunks still run.
@@ -210,33 +183,19 @@ std::vector<exec::TaskId> Dist3dFft<T>::submit_pencil(exec::TaskGraph& graph,
   // (c) fft1 chunks on the y-pencils once every row fragment arrived, plus
   // the WAR gate for the column phase scattering back into the A buffers.
   std::vector<exec::TaskId> fft1_join((std::size_t)g_), war((std::size_t)g_);
-  const index_t lines1 = n0pc * n2pr;
   for (int d = 0; d < g_; ++d) {
     const exec::TaskId row_join =
-        graph.submit("row-join d" + std::to_string(d),
-                     {lanes.compute(d), /*ordered=*/false, "sync"}, [] {},
-                     row.arrived[(std::size_t)d]);
-    std::vector<exec::TaskId> fft1;
-    for (index_t c = 0; c < nc; ++c) {
-      const auto [lo, hi] = chunk_range(lines1, nc, c);
-      if (lo >= hi) break;
-      Cx* base = b[(std::size_t)d] + lo * n1_;
-      const index_t lines = hi - lo;
-      fft1.push_back(graph.submit(
-          "fft1 d" + std::to_string(d) + " c" + std::to_string(c),
-          {lanes.compute(d), /*ordered=*/false, "fft"},
-          [this, base, lines] {
-            FMMFFT_SPAN("3DFFT-1");
-            plan1_.execute_batched(base, lines, fft::Direction::Forward);
-          },
-          {row_join}));
-    }
-    fft1_join[(std::size_t)d] =
-        graph.submit("fft1-join d" + std::to_string(d),
-                     {lanes.compute(d), /*ordered=*/false, "sync"}, [] {}, std::move(fft1));
-    war[(std::size_t)d] = graph.submit("row-read-done d" + std::to_string(d),
-                                       {lanes.compute(d), /*ordered=*/false, "sync"}, [] {},
-                                       row.reads[(std::size_t)d]);
+        submit_join(graph, lanes, d, "row-join", row.arrived[(std::size_t)d]);
+    Cx* bd = b[(std::size_t)d];
+    auto fft1 = submit_phase(graph, lanes, d, "fft1", "fft", n0pc * n2pr, nc, {row_join},
+                             [this, bd](index_t lo, index_t hi) {
+                               FMMFFT_SPAN("3DFFT-1");
+                               plan1_.execute_batched(bd + lo * n1_, hi - lo,
+                                                      fft::Direction::Forward);
+                             });
+    fft1_join[(std::size_t)d] = submit_join(graph, lanes, d, "fft1-join", std::move(fft1));
+    war[(std::size_t)d] =
+        submit_join(graph, lanes, d, "row-read-done", row.reads[(std::size_t)d]);
   }
 
   // (d) Column-phase packs: one fused pair message (i,jj) → (ii,jj); the
@@ -248,30 +207,17 @@ std::vector<exec::TaskId> Dist3dFft<T>::submit_pencil(exec::TaskGraph& graph,
 
   // (e) fft2 chunks on the z-pencils.
   std::vector<exec::TaskId> terminal((std::size_t)g_);
-  const index_t lines2 = n0pc * n1pr;
   for (int d = 0; d < g_; ++d) {
     const exec::TaskId join =
-        graph.submit("col-join d" + std::to_string(d),
-                     {lanes.compute(d), /*ordered=*/false, "sync"}, [] {},
-                     col.arrived[(std::size_t)d]);
-    std::vector<exec::TaskId> fft2;
-    for (index_t c = 0; c < nc; ++c) {
-      const auto [lo, hi] = chunk_range(lines2, nc, c);
-      if (lo >= hi) break;
-      Cx* base = a[(std::size_t)d] + lo * n2_;
-      const index_t lines = hi - lo;
-      fft2.push_back(graph.submit(
-          "fft2 d" + std::to_string(d) + " c" + std::to_string(c),
-          {lanes.compute(d), /*ordered=*/false, "fft"},
-          [this, base, lines] {
-            FMMFFT_SPAN("3DFFT-2");
-            plan2_.execute_batched(base, lines, fft::Direction::Forward);
-          },
-          {join}));
-    }
-    terminal[(std::size_t)d] =
-        graph.submit("done d" + std::to_string(d),
-                     {lanes.compute(d), /*ordered=*/false, "sync"}, [] {}, std::move(fft2));
+        submit_join(graph, lanes, d, "col-join", col.arrived[(std::size_t)d]);
+    Cx* ad = a[(std::size_t)d];
+    auto fft2 = submit_phase(graph, lanes, d, "fft2", "fft", n0pc * n1pr, nc, {join},
+                             [this, ad](index_t lo, index_t hi) {
+                               FMMFFT_SPAN("3DFFT-2");
+                               plan2_.execute_batched(ad + lo * n2_, hi - lo,
+                                                      fft::Direction::Forward);
+                             });
+    terminal[(std::size_t)d] = submit_join(graph, lanes, d, "done", std::move(fft2));
   }
   return terminal;
 }

@@ -12,16 +12,16 @@
 
 namespace fmmfft::dist {
 
+// prm is validated before any member is built from it: fft2d_ divides by P.
 template <typename InT>
 DistFmmFft<InT>::DistFmmFft(const fmm::Params& prm, int g, fmm::Precision prec)
-    : prm_(prm),
+    : prm_((prm.validate_distributed(g), prm)),
       g_(g),
       c_(components_v<InT>),
       prec_(prec),
       fabric_(g),
       fft2d_(prm.m(), prm.p, g),
       rho_(static_cast<std::size_t>(prm.p)) {
-  prm_.validate_distributed(g);
   const bool mixed = prec_ == fmm::Precision::Mixed && sizeof(Real) == 8;
   for (int r = 0; r < g_; ++r) {
     if (mixed)

@@ -48,9 +48,6 @@ class DistFmmFft {
   const sim::Fabric& fabric() const { return fabric_; }
   sim::Fabric& fabric() { return fabric_; }
 
-  /// The 2D-FFT stage driver (to inspect its slab/pencil decomposition).
-  const Dist2dFft<Real>& fft2d() const { return fft2d_; }
-
   /// Stats of device `r`'s engine for the most recent execute().
   const std::vector<fmm::StageStats>& engine_stats(int r) const {
     return engines32_.empty() ? engines_[(std::size_t)r]->stats()

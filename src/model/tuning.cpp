@@ -1,7 +1,6 @@
 #include "model/tuning.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <istream>
 #include <ostream>
@@ -99,13 +98,6 @@ GridShape parse_grid(const std::string& text) {
   return grid;
 }
 
-GridShape default_grid(int g) {
-  if (g < 1) return {};
-  for (int pr = int(std::sqrt(double(g))); pr >= 1; --pr)
-    if (g % pr == 0) return {pr, g / pr};
-  return {1, g};
-}
-
 bool slab_feasible_3d(index_t n0, index_t n1, index_t n2, int g) {
   return g >= 1 && n2 % g == 0 && (n0 * n1) % g == 0;
 }
@@ -184,39 +176,6 @@ DecompDecision choose_decomp(Decomp requested, GridShape requested_grid, index_t
   if (d.slab_feasible) d.slab_seconds = fft3d_slab_seconds(n0, n1, n2, w, a, true);
   if (d.pencil_feasible)
     d.pencil_seconds = fft3d_pencil_seconds(n0, n1, n2, d.grid.pr, d.grid.pc, w, a, true);
-  return decide(requested, d);
-}
-
-DecompDecision choose_decomp_2d(Decomp requested, GridShape requested_grid, index_t m,
-                                index_t p, int g, const Workload& w,
-                                const ArchParams& arch) {
-  ArchParams a = arch;
-  a.num_devices = g;
-  DecompDecision d;
-  d.slab_feasible = g >= 1 && m % g == 0 && p % g == 0;
-  d.grid = resolve_grid(requested_grid, g, default_grid(g));
-  // The 2D "pencil" is the factorized two-phase form of the same Π_{M,P}
-  // exchange: any pr·pc = g grid works whenever the slab layout does.
-  d.pencil_feasible = d.slab_feasible && d.grid.specified();
-  const double n = double(m) * double(p);
-  const double cbytes = 2.0 * w.real_bytes();
-  if (d.slab_feasible) d.slab_seconds = slab_a2a_seconds(n, cbytes, a);
-  if (d.pencil_feasible)
-    d.pencil_seconds = pencil_a2a_seconds(n, cbytes, d.grid.pr, d.grid.pc, a);
-  if (requested == Decomp::Auto) {
-    // Unlike 3D — where the pencil layout changes feasibility and absorbs
-    // the slab's local reorientation — factorizing a single Π_{M,P} can
-    // only add bytes: every element crosses the fabric twice instead of
-    // once. The §5 ledger-exactness story (and the paper's low-
-    // communication argument) is bytes-first, so Auto keeps the one-phase
-    // slab; the two-phase form runs on explicit request (FMMFFT_DECOMP=
-    // pencil), where its fewer-larger-messages latency profile is wanted.
-    FMMFFT_CHECK_MSG(d.slab_feasible, "2D decomposition: M=" << m << " P=" << p
-                                          << " not divisible by G=" << g);
-    d.chosen = Decomp::Slab;
-    d.model_decided = true;
-    return d;
-  }
   return decide(requested, d);
 }
 

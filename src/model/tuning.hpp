@@ -47,13 +47,14 @@ fmm::Params search_best_params_cached(TuningCache& cache, index_t n, index_t g,
                                       int b_max = 8);
 
 // ---------------------------------------------------------------------------
-// Slab-vs-pencil decomposition autotuning (ROADMAP item 2). The distributed
-// drivers consult `choose_decomp*` when the caller (or FMMFFT_DECOMP) says
-// `auto`: the §5 link model prices the one-phase slab exchange against the
-// two-phase row/column sub-communicator exchange and the cheaper one wins.
+// Slab-vs-pencil decomposition autotuning for the distributed 3D FFT. It
+// consults `choose_decomp` when the caller (or FMMFFT_DECOMP) says `auto`:
+// the §5 model prices the slab transform, with its one G-wide exchange,
+// against the pencil transform, with its two row/column sub-communicator
+// exchanges, and the cheaper one wins. The 2D FFT always runs the one-phase
+// slab exchange.
 
-/// How a distributed multidimensional transform splits its data across G
-/// devices.
+/// How a distributed 3D transform splits its data across G devices.
 enum class Decomp {
   Auto,    ///< let the cost model decide (FMMFFT_DECOMP=auto)
   Slab,    ///< 1D device partition, one G-wide all-to-all
@@ -78,11 +79,9 @@ struct GridShape {
 /// malformed input or non-positive factors.
 GridShape parse_grid(const std::string& text);
 
-/// The most square factorization pr·pc = g with pr ≤ pc (pencil phases want
-/// both sub-communicators near √G).
-GridShape default_grid(int g);
-/// Like default_grid, but constrained to grids feasible for an n0×n1×n2
-/// transform (falls back over squarer→flatter factorizations; returns
+/// The most square factorization pr·pc = g feasible for an n0×n1×n2
+/// transform (pencil phases want both sub-communicators near √G; falls back
+/// over squarer→flatter factorizations, pr ≤ pc at equal aspect; returns
 /// {0, 0} when no factorization divides the extents).
 GridShape default_grid3d(int g, index_t n0, index_t n1, index_t n2);
 
@@ -90,13 +89,13 @@ GridShape default_grid3d(int g, index_t n0, index_t n1, index_t n2);
 bool slab_feasible_3d(index_t n0, index_t n1, index_t n2, int g);
 bool pencil_feasible_3d(index_t n0, index_t n1, index_t n2, const GridShape& grid);
 
-/// Outcome of an autotuned (or forced) decomposition decision.
+/// Outcome of an autotuned (or forced) 3D decomposition decision.
 struct DecompDecision {
   Decomp chosen = Decomp::Slab;  ///< never Auto on output
   GridShape grid;                ///< the pencil grid (valid iff chosen == Pencil
                                  ///< or pencil was feasible)
-  double slab_seconds = 0;  ///< modeled decomposition-dependent wall times (3D:
-  double pencil_seconds = 0;  ///< full transform; 2D: the exchange phase)
+  double slab_seconds = 0;    ///< modeled wall time of the whole transform
+  double pencil_seconds = 0;  ///< in each decomposition
   bool slab_feasible = false;
   bool pencil_feasible = false;
   bool model_decided = false;  ///< true when `requested` was Auto
@@ -109,15 +108,5 @@ struct DecompDecision {
 DecompDecision choose_decomp(Decomp requested, GridShape requested_grid, index_t n0,
                              index_t n1, index_t n2, int g, const Workload& w,
                              const ArchParams& arch);
-
-/// Same decision for the 2D M×P transform, where "pencil" means the
-/// factorized two-phase exchange of the same Π_{M,P} permutation (any pr·pc
-/// = g grid is feasible whenever the slab layout is). Both variants are
-/// priced, but Auto always keeps the slab here: factorizing one transpose
-/// doubles the fabric bytes with no feasibility or locality gain, so the
-/// two-phase form is explicit-request only (the returned slab/pencil
-/// seconds still expose the modeled latency trade).
-DecompDecision choose_decomp_2d(Decomp requested, GridShape requested_grid, index_t m,
-                                index_t p, int g, const Workload& w, const ArchParams& arch);
 
 }  // namespace fmmfft::model

@@ -133,8 +133,7 @@ double ledger_sum(const std::map<std::string, TrafficTotals>& snap, const std::s
 }  // namespace
 
 ModelReport compare_traffic_with_model(const fmm::Params& prm, int components, index_t g,
-                                       double real_bytes, int runs, double trans_bytes,
-                                       int pr, int pc) {
+                                       double real_bytes, int runs, double trans_bytes) {
   constexpr double kExact = 1e-9;
   const auto snap = TrafficLedger::global().snapshot();
   const double r = double(runs), gd = double(g);
@@ -150,19 +149,11 @@ ModelReport compare_traffic_with_model(const fmm::Params& prm, int components, i
   }
 
   ModelReport rep;
-  // The transpose payload — the §5.3 "exact for A2A" guarantee. Slab: every
+  // The transpose payload — the §5.3 "exact for A2A" guarantee: every
   // device ships all but its own slab once, (G-1)/G · N complex elements in
-  // the one exchange. Pencil: the same permutation factorizes into a row
-  // phase moving (pc-1)/pc·N and a column phase moving (pr-1)/pr·N.
-  if (pr > 0) {
-    rep.checks.push_back({"traffic.a2a_row_payload", sum("comm.A2A-ROW", kComm),
-                          r * double(pc - 1) / double(pc) * n * 2.0 * real_bytes, kExact});
-    rep.checks.push_back({"traffic.a2a_col_payload", sum("comm.A2A-COL", kComm),
-                          r * double(pr - 1) / double(pr) * n * 2.0 * real_bytes, kExact});
-  } else {
-    rep.checks.push_back({"traffic.a2a_payload", sum("comm.A2A-2D", kComm),
-                          g > 1 ? r * (gd - 1.0) / gd * n * 2.0 * real_bytes : 0.0, kExact});
-  }
+  // the one exchange.
+  rep.checks.push_back({"traffic.a2a_payload", sum("comm.A2A-2D", kComm),
+                        g > 1 ? r * (gd - 1.0) / gd * n * 2.0 * real_bytes : 0.0, kExact});
   const auto exact = model::exact_fmm_comm(prm, components, g);
   const double comm_mb = sum("comm.COMM-MB", kComm);
   rep.checks.push_back({"traffic.comm_s", sum("comm.COMM-S", kComm),

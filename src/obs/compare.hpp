@@ -75,13 +75,9 @@ ModelReport compare_with_model(const fmm::Params& prm, int components, index_t g
 ///  * post bytes vs the single-sweep volume: the C-component T tensor read
 ///    at the translation width plus the complex FFT input written at the
 ///    shell width
-/// `pr`/`pc`: the 2D-FFT stage's decomposition. 0/0 (default) = slab, one
-/// A2A-2D exchange of (G-1)/G·N elements; pr > 0 = the pencil two-phase
-/// exchange over a pr×pc grid, checked as comm.A2A-ROW = (pc-1)/pc·N and
-/// comm.A2A-COL = (pr-1)/pr·N element payloads instead.
 ModelReport compare_traffic_with_model(const fmm::Params& prm, int components, index_t g,
                                        double real_bytes, int runs = 1,
-                                       double trans_bytes = 0, int pr = 0, int pc = 0);
+                                       double trans_bytes = 0);
 
 /// Traffic cross-validation for `runs` executions of a distributed
 /// n0×n1×n2 3D FFT (dist::Dist3dFft) on g devices. `pr` = 0 checks the

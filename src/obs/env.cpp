@@ -25,11 +25,12 @@ std::span<const Knob> registry() {
        "FMM translation precision: fp64 | mixed (fp32 operators, kernels and "
        "comm payloads under an fp64 shell)"},
       {"FMMFFT_DECOMP", "enum", "auto",
-       "distributed 2D/3D decomposition: auto (cost model) | slab (one-phase "
-       "all-to-all) | pencil (two-phase row/column sub-communicators)"},
+       "distributed 3D FFT decomposition: auto (cost model) | slab (one-phase "
+       "all-to-all) | pencil (two-phase row/column sub-communicators); the 2D "
+       "FFT always runs the one-phase exchange"},
       {"FMMFFT_GRID", "string", "(squarest)",
-       "pencil processor grid as PRxPC (e.g. 2x4); must multiply to the device "
-       "count and divide the transform extents"},
+       "3D pencil processor grid as PRxPC (e.g. 2x4); must multiply to the "
+       "device count and divide the transform extents"},
       {"FMMFFT_WATCHDOG_MS", "int", "0",
        "progress deadline in ms; >0 starts the watchdog thread (also arms the "
        "flight recorder)"},

@@ -51,7 +51,7 @@ TEST(Collectives, AllToAllMatchesPermuteMP) {
       in.push_back(ain[(std::size_t)r].data());
       out.push_back(aout[(std::size_t)r].data());
     }
-    all_to_all_permute_mp(fabric, in, out, m, p, "t");
+    exchange_permute_mp(in, out, m, p, "t").run(fabric);
     for (int r = 0; r < g; ++r)
       for (index_t i = 0; i < slab; ++i)
         EXPECT_EQ(out[(std::size_t)r][i], expect[(std::size_t)(r * slab + i)])
@@ -78,7 +78,7 @@ TEST(Collectives, FusedMatchesStagedBitIdentical) {
         of.push_back(yf.data() + r * slab);
         os.push_back(ys.data() + r * slab);
       }
-      all_to_all_permute_mp(fab_fused, in, of, m, p, "A2A-EQ");
+      exchange_permute_mp(in, of, m, p, "A2A-EQ").run(fab_fused);
       all_to_all_permute_mp_staged(fab_staged, in, os, m, p, "A2A-EQ");
       EXPECT_EQ(yf, ys) << "g=" << g << " m=" << m << " p=" << p;
       // Same messages on the wire: pair-by-pair byte totals agree.
@@ -87,49 +87,6 @@ TEST(Collectives, FusedMatchesStagedBitIdentical) {
         EXPECT_DOUBLE_EQ(fab_fused.bytes_sent_by(r), fab_staged.bytes_sent_by(r));
       EXPECT_DOUBLE_EQ(fab_fused.bytes_with_tag("A2A-EQ"), fab_staged.bytes_with_tag("A2A-EQ"));
     }
-  }
-}
-
-TEST(Collectives, GridTwoPhaseMatchesOnePhaseBitIdentical) {
-  // The factorized row+column exchange is the same Π_{M,P} permutation as
-  // the one-phase fused path (both are pure copies), so outputs must agree
-  // bit-for-bit at every grid shape, with the documented per-phase payload
-  // split: row (pc-1)/pc·N elements, column (pr-1)/pr·N.
-  const index_t m = 32, p = 16;
-  struct Case {
-    int g;
-    ProcGrid grid;
-  };
-  for (const auto& c : {Case{4, {1, 4}}, Case{4, {2, 2}}, Case{4, {4, 1}}, Case{8, {2, 4}},
-                        Case{8, {4, 2}}, Case{16, {4, 4}}}) {
-    const int g = c.g;
-    sim::Fabric fab_one(g), fab_two(g);
-    std::vector<double> x(std::size_t(m * p));
-    fill_uniform(x.data(), m * p, 40 + g + c.grid.pr);
-    const index_t slab = m * p / g;
-    std::vector<double> y1(x.size(), -1.0), y2(x.size(), -2.0), wk(x.size(), 0.0);
-    std::vector<double*> in, o1, o2, w;
-    for (int r = 0; r < g; ++r) {
-      in.push_back(x.data() + r * slab);
-      o1.push_back(y1.data() + r * slab);
-      o2.push_back(y2.data() + r * slab);
-      w.push_back(wk.data() + r * slab);
-    }
-    all_to_all_permute_mp(fab_one, in, o1, m, p, "A2A-2D");
-    exchange_pencil2d_row(in, w, m, p, c.grid).run(fab_two);
-    exchange_pencil2d_col(w, o2, m, p, c.grid).run(fab_two);
-    EXPECT_EQ(y1, y2) << "g=" << g << " grid=" << c.grid.pr << "x" << c.grid.pc;
-    const double n = double(m * p);
-    EXPECT_DOUBLE_EQ(fab_two.bytes_with_tag("A2A-ROW"),
-                     double(c.grid.pc - 1) / c.grid.pc * n * sizeof(double));
-    EXPECT_DOUBLE_EQ(fab_two.bytes_with_tag("A2A-COL"),
-                     double(c.grid.pr - 1) / c.grid.pr * n * sizeof(double));
-    // Every device sends the same share of each phase (symmetric grids and
-    // uniform blocks), and nothing else crosses the fabric.
-    EXPECT_DOUBLE_EQ(fab_two.total_bytes(), fab_two.bytes_with_tag("A2A-ROW") +
-                                                fab_two.bytes_with_tag("A2A-COL"));
-    for (int r = 0; r < g; ++r)
-      EXPECT_DOUBLE_EQ(fab_two.bytes_sent_by(r), fab_two.total_bytes() / g) << "r=" << r;
   }
 }
 
@@ -184,11 +141,12 @@ TEST(Collectives, Allgather) {
 
 // Every exchange builder, executed three ways on the same input:
 // Exchange::run, Exchange::submit + TaskGraph::run (a driver's task graph),
-// and an independent oracle — the staged all-to-all for the
-// Π_{M,P} builders, the x→z pencil index map for the 3D pencil pair. All
+// and an independent oracle — the staged all-to-all for the one-phase
+// Π_{M,P} builder, the x→z pencil index map for the 3D pencil pair. All
 // three must agree byte for byte, and run and submit must put the same
-// bytes on every (src, dst) link.
-enum class Builder { OnePhase, Pencil2d, Pencil3d };
+// bytes on every (src, dst) link. The enumerator values are pinned: gtest
+// prints the raw parameter bytes into each case's listed name.
+enum class Builder { OnePhase = 0, Pencil3d = 2 };
 
 struct ExchangeCase {
   Builder builder;
@@ -207,10 +165,7 @@ std::vector<ExchangeCase> exchange_cases() {
     if (g > 2) chunk_counts.push_back(g);
     for (index_t chunks : chunk_counts) {
       cases.push_back({Builder::OnePhase, g, {1, g}, chunks});
-      for (const ProcGrid& grid : grids) {
-        cases.push_back({Builder::Pencil2d, g, grid, chunks});
-        cases.push_back({Builder::Pencil3d, g, grid, chunks});
-      }
+      for (const ProcGrid& grid : grids) cases.push_back({Builder::Pencil3d, g, grid, chunks});
     }
   }
   return cases;
@@ -218,9 +173,7 @@ std::vector<ExchangeCase> exchange_cases() {
 
 std::string exchange_case_name(const ::testing::TestParamInfo<ExchangeCase>& info) {
   const ExchangeCase& c = info.param;
-  const char* kind = c.builder == Builder::OnePhase   ? "onephase"
-                     : c.builder == Builder::Pencil2d ? "pencil2d"
-                                                      : "pencil3d";
+  const char* kind = c.builder == Builder::OnePhase ? "onephase" : "pencil3d";
   std::string name = std::string(kind) + "_g" + std::to_string(c.g);
   if (c.builder != Builder::OnePhase)
     name += "_" + std::to_string(c.grid.pr) + "x" + std::to_string(c.grid.pc);
@@ -249,9 +202,6 @@ void check_exchange_paths(const ExchangeCase& c) {
     switch (c.builder) {
       case Builder::OnePhase:
         return {exchange_permute_mp(in, o, m, p, "A2A-X", c.chunks)};
-      case Builder::Pencil2d:
-        return {exchange_pencil2d_row(in, w, m, p, c.grid, c.chunks),
-                exchange_pencil2d_col(w, o, m, p, c.grid)};
       case Builder::Pencil3d:
         return {exchange_pencil3d_row(in, w, n0, n1, n2, c.grid, c.chunks),
                 exchange_pencil3d_col(w, o, n0, n1, n2, c.grid)};
@@ -393,17 +343,15 @@ TEST(Collectives, AliasedBuffersThrow) {
   const index_t slab = m * p / g;
   std::vector<double*> in{a.data(), a.data() + slab}, out{b.data(), b.data() + slab};
   sim::Fabric fabric(g);
-  EXPECT_THROW(all_to_all_permute_mp(fabric, in, in, m, p, "t"), Error);
+  EXPECT_THROW(exchange_permute_mp(in, in, m, p, "t"), Error);
   std::vector<double*> crossed{a.data() + slab, b.data()};  // out[0] is in[1]
-  EXPECT_THROW(all_to_all_permute_mp(fabric, in, crossed, m, p, "t"), Error);
+  EXPECT_THROW(exchange_permute_mp(in, crossed, m, p, "t"), Error);
   std::vector<double*> straddle{a.data() + slab / 2, b.data() + slab};  // partial overlap
-  EXPECT_THROW(all_to_all_permute_mp(fabric, in, straddle, m, p, "t"), Error);
-  EXPECT_THROW(exchange_pencil2d_row(in, in, m, p, ProcGrid{1, 2}), Error);
-  EXPECT_THROW(exchange_pencil2d_col(in, in, m, p, ProcGrid{2, 1}), Error);
+  EXPECT_THROW(exchange_permute_mp(in, straddle, m, p, "t"), Error);
   EXPECT_THROW(exchange_pencil3d_row(in, in, 8, 4, 4, ProcGrid{1, 2}), Error);
   EXPECT_THROW(exchange_pencil3d_col(in, in, 8, 4, 4, ProcGrid{2, 1}), Error);
   EXPECT_EQ(fabric.transfers(), 0u);
-  all_to_all_permute_mp(fabric, in, out, m, p, "t");
+  exchange_permute_mp(in, out, m, p, "t").run(fabric);
   EXPECT_EQ(fabric.transfers(), std::size_t(g * (g - 1)));
 }
 
@@ -473,60 +421,6 @@ TEST(Dist2d, SingleAllToAll) {
   EXPECT_DOUBLE_EQ(fftd.fabric().bytes_with_tag("A2A-2D"),
                    g * (g - 1.0) * double(m * p) / (g * g) * sizeof(Cd));
   EXPECT_DOUBLE_EQ(fftd.fabric().total_bytes(), fftd.fabric().bytes_with_tag("A2A-2D"));
-}
-
-TEST(Dist2d, PencilBitIdenticalToSlabAllGridsAndModes) {
-  // Same FFT lines, same per-line plans — only the exchange factorizes, and
-  // it factorizes into pure copies. Slab and every pencil grid must agree
-  // bit-for-bit under both executors.
-  const index_t m = 64, p = 32;
-  const int g = 4;
-  std::vector<Cd> x(static_cast<std::size_t>(m * p));
-  fill_uniform(x.data(), m * p, 23);
-  auto run = [&](model::Decomp d, model::GridShape grid, exec::Mode mode) {
-    std::vector<Cd> y(x.size());
-    exec::ScopedMode sm(mode);
-    Dist2dFft<double> fftd(m, p, g, d, grid);
-    fftd.execute(x.data(), y.data());
-    return y;
-  };
-  const auto slab = run(model::Decomp::Slab, {}, exec::Mode::Serial);
-  for (model::GridShape grid : {model::GridShape{1, 4}, {2, 2}, {4, 1}}) {
-    for (exec::Mode mode : {exec::Mode::Serial, exec::Mode::Async}) {
-      const auto y = run(model::Decomp::Pencil, grid, mode);
-      EXPECT_EQ(0, std::memcmp(slab.data(), y.data(), slab.size() * sizeof(Cd)))
-          << grid.pr << "x" << grid.pc << " mode=" << int(mode);
-    }
-  }
-  EXPECT_EQ(slab, run(model::Decomp::Slab, {}, exec::Mode::Async));
-}
-
-TEST(Dist2d, PencilTwoPhaseVolumes) {
-  const index_t m = 64, p = 32;
-  const int g = 4, pr = 2, pc = 2;
-  std::vector<Cd> x(static_cast<std::size_t>(m * p)), y(x.size());
-  fill_uniform(x.data(), m * p, 9);
-  Dist2dFft<double> fftd(m, p, g, model::Decomp::Pencil, {pr, pc});
-  EXPECT_EQ(fftd.decomp(), model::Decomp::Pencil);
-  fftd.execute(x.data(), y.data());
-  const double n = double(m * p);
-  EXPECT_DOUBLE_EQ(fftd.fabric().bytes_with_tag("A2A-ROW"),
-                   double(pc - 1) / pc * n * sizeof(Cd));
-  EXPECT_DOUBLE_EQ(fftd.fabric().bytes_with_tag("A2A-COL"),
-                   double(pr - 1) / pr * n * sizeof(Cd));
-  EXPECT_DOUBLE_EQ(fftd.fabric().bytes_with_tag("A2A-2D"), 0.0);
-}
-
-TEST(Dist2d, PencilFloatLegMatchesSlab) {
-  const index_t m = 32, p = 16;
-  std::vector<std::complex<float>> x(static_cast<std::size_t>(m * p)), ys(x.size()),
-      yp(x.size());
-  fill_uniform(x.data(), m * p, 55);
-  Dist2dFft<float> slab(m, p, 4, model::Decomp::Slab);
-  Dist2dFft<float> pencil(m, p, 4, model::Decomp::Pencil, {2, 2});
-  slab.execute(x.data(), ys.data());
-  pencil.execute(x.data(), yp.data());
-  EXPECT_EQ(0, std::memcmp(ys.data(), yp.data(), ys.size() * sizeof(ys[0])));
 }
 
 struct DistCase {
@@ -737,6 +631,19 @@ TEST(DistFmmFft, RejectsInvalidDeviceCounts) {
   fmm::Params prm{1 << 12, 32, 8, 2, 12};  // 2^B = 4
   EXPECT_THROW((DistFmmFft<Cd>(prm, 8)), Error);  // 2^B < G
   EXPECT_THROW((DistFft1d<double>(1 << 12, 128)), Error);
+  // The plan's own rules are checked before anything is built from it, so
+  // the error names the rule rather than a consequence deep in a member.
+  auto error_of = [](const fmm::Params& bad, int g) {
+    try {
+      DistFmmFft<Cd> plan(bad, g);
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_NE(error_of({1 << 12, 0, 8, 2, 12}, 2).find("P must be a power of two"),
+            std::string::npos);
+  EXPECT_NE(error_of(prm, 3).find("G must be a power of two"), std::string::npos);
 }
 
 }  // namespace

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/math.hpp"
 #include "common/rng.hpp"
 #include "common/threadpool.hpp"
@@ -262,6 +264,19 @@ TEST(FullPipeline, ProfileIsPopulated) {
   EXPECT_GE(prof.total_seconds, prof.fft_seconds);
   EXPECT_GT(prof.kernel_launches(), 0);
   EXPECT_EQ(plan.params().n, n);
+}
+
+TEST(FullPipeline, RejectsInvalidPlanNamingTheRule) {
+  // The plan is validated before any member is built from it, so P = 0 is
+  // reported as the plan's rule rather than by the first FFT plan sized
+  // from it.
+  try {
+    FmmFft<Cd> plan(fmm::Params{1 << 12, 0, 8, 2, 18});
+    ADD_FAILURE() << "P = 0 accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("P must be a power of two"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ErrorSweep, OddEvenAccuracyImprovesWithQ) {

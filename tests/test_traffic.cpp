@@ -133,7 +133,7 @@ TEST(Ledger, AllToAllBytesHandCounted) {
   for (int i = 0; i < 16; ++i) buf_in[(std::size_t)i] = double(i);
   const std::vector<double*> in = {buf_in.data(), buf_in.data() + 8};
   const std::vector<double*> out = {buf_out.data(), buf_out.data() + 8};
-  dist::all_to_all_permute_mp(fabric, in, out, m, p, "A2A-T");
+  dist::exchange_permute_mp(in, out, m, p, "A2A-T").run(fabric);
 
   const auto snap = TrafficLedger::global().snapshot();
   // Fused path: pack is the strided gather's read side, unpack the
@@ -173,7 +173,7 @@ TEST(Ledger, FusedAllToAllHalvesStagedBytes) {
   {
     TrafficSession s;
     sim::Fabric fabric(g);
-    dist::all_to_all_permute_mp(fabric, in, of, m, p, "A2A-T");
+    dist::exchange_permute_mp(in, of, m, p, "A2A-T").run(fabric);
     const auto snap = TrafficLedger::global().snapshot();
     fused_moved = snap.at("a2a.pack").bytes_moved() + snap.at("a2a.unpack").bytes_moved();
     fused_comm = snap.at("comm.A2A-T").comm_bytes;
@@ -253,6 +253,24 @@ TEST(Ledger, TrafficMatchesModelOnDistributedRun) {
   // A second run doubles every count; runs=2 must still agree exactly.
   plan.execute(x.data(), y.data());
   EXPECT_TRUE(compare_traffic_with_model(prm, 2, g, sizeof(double), /*runs=*/2, tb).all_ok());
+
+  // FMMFFT_DECOMP/FMMFFT_GRID choose only the 3D FFT's decomposition: under
+  // a pencil request the 2D stage still ships the one-phase A2A-2D payload
+  // and nothing on the row/column sub-communicators.
+  setenv("FMMFFT_DECOMP", "pencil", 1);
+  setenv("FMMFFT_GRID", "2x2", 1);
+  {
+    TrafficSession s4;
+    dist::DistFmmFft<In> plan4(prm, 4);
+    plan4.execute(x.data(), y.data());
+    const auto four = compare_traffic_with_model(prm, 2, 4, sizeof(double), 1, tb);
+    EXPECT_TRUE(four.all_ok()) << four.to_string();
+    const auto snap4 = TrafficLedger::global().snapshot();
+    for (const char* scope : {"comm.A2A-ROW", "comm.A2A-COL"})
+      EXPECT_EQ(snap4.count(scope) ? snap4.at(scope).comm_bytes : 0.0, 0.0) << scope;
+  }
+  unsetenv("FMMFFT_DECOMP");
+  unsetenv("FMMFFT_GRID");
 }
 
 TEST(Ledger, MixedTrafficMatchesModelAndHalvesCommBytes) {
@@ -340,13 +358,13 @@ TEST(Disabled, CollectivesSteadyStateDoesNotAllocate) {
   }
   sim::Fabric fabric(g);
   // Warm-up: grow the ledger vector, fault in the arena slabs.
-  dist::all_to_all_permute_mp(fabric, in, out, m, p, "A2A-T");
+  dist::exchange_permute_mp(in, out, m, p, "A2A-T").run(fabric);
   dist::all_to_all_permute_mp_staged(fabric, in, out, m, p, "A2A-T");
   fabric.reset();
 
   const std::uint64_t before = g_allocs.load();
   for (int rep = 0; rep < 100; ++rep) {
-    dist::all_to_all_permute_mp(fabric, in, out, m, p, "A2A-T");
+    dist::exchange_permute_mp(in, out, m, p, "A2A-T").run(fabric);
     dist::all_to_all_permute_mp_staged(fabric, in, out, m, p, "A2A-T");
     fabric.reset();
   }
