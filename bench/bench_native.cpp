@@ -6,8 +6,8 @@
 //   * GEMM GFLOP/s — square sizes plus the FMM's tall-skinny batched shapes
 //     (m = C·P rows against Q/M_L-sized operators, §4.4–4.5)
 //   * batched FFT points/s — pow2 and Bluestein sizes at FMM-shaped batches
-//   * blocked transpose and all-to-all GB/s — the Plan2D / Π_{M,P}
-//     data-movement primitives
+//   * blocked transpose and all-to-all GB/s — the Π_{M,P} data-movement
+//     primitives
 //   * S2T / M2L kernel seconds, and the ledger's bytes moved per end-to-end
 //     shape (end-to-end wall time is bench/e2e's job)
 //
@@ -102,15 +102,6 @@ void bench_transpose(const std::string& name, index_t rows, index_t cols) {
   double sec = time_best([&] { transpose_blocked(x.data(), y.data(), rows, cols); });
   // Read + write of the full array.
   record(name, "gbytes_per_s", 2.0 * double(rows) * double(cols) * sizeof(Cx) / sec / 1e9, sec);
-}
-
-void bench_transpose_inplace(const std::string& name, index_t n) {
-  using Cx = std::complex<double>;
-  Buffer<Cx> x(n * n);
-  fill_uniform(x.data(), n * n, 6);
-  // Self-inverse, so repeated reps measure the same operation.
-  double sec = time_best([&] { transpose_inplace(x.data(), n); });
-  record(name, "gbytes_per_s", 2.0 * double(n) * double(n) * sizeof(Cx) / sec / 1e9, sec);
 }
 
 /// Fused zero-copy all-to-all on one representative G=4 slab geometry
@@ -335,11 +326,9 @@ int main(int argc, char** argv) {
   bench_fft_batched<float>("fft_f32_4096x64", 4096, 64);
   bench_fft_batched<double>("fft_f64_blue1000x64", 1000, 64);
 
-  // The Π_{M,P} permutation / Plan2D transpose primitive: cache-oblivious
-  // kernel, the in-place square variant, and the fused all-to-all built on
-  // it.
+  // The Π_{M,P} permutation primitive: the cache-oblivious kernel and the
+  // fused all-to-all built on it.
   bench_transpose("transpose_c64_1024", 1024, 1024);
-  bench_transpose_inplace("transpose_inplace_c64_1024", 1024);
   bench_a2a(1024, 1024, 4);
 
   bench_engine_kernels();

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstring>
-#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/threadpool.hpp"
@@ -84,28 +83,6 @@ void transpose_strided_serial(const T* x, index_t ldx, T* y, index_t ldy, index_
   }
 }
 
-/// Swap-transpose of a mirrored off-diagonal block pair of an in-place
-/// square transpose: a holds block (I, J), b block (J, I), both with
-/// leading dimension n. Afterwards a = old-bᵀ and b = old-aᵀ. Tiles are at
-/// most a budget tile per side, so two stack buffers suffice.
-template <typename T>
-void swap_transpose_tile(T* a, T* b, index_t n, index_t nr, index_t nc) {
-  constexpr index_t side = transpose_tile_side<T>();
-  static_assert(std::is_trivially_copyable_v<T>);
-  alignas(64) unsigned char raw_a[std::size_t(side * side) * sizeof(T)];
-  alignas(64) unsigned char raw_b[std::size_t(side * side) * sizeof(T)];
-  T* ta = reinterpret_cast<T*>(raw_a);
-  T* tb = reinterpret_cast<T*>(raw_b);
-  for (index_t j = 0; j < nc; ++j)
-    for (index_t i = 0; i < nr; ++i) ta[j + i * nc] = a[i + j * n];
-  for (index_t i = 0; i < nr; ++i)
-    for (index_t j = 0; j < nc; ++j) tb[i + j * nr] = b[j + i * n];
-  for (index_t j = 0; j < nc; ++j)
-    for (index_t i = 0; i < nr; ++i) a[i + j * n] = tb[i + j * nr];
-  for (index_t i = 0; i < nr; ++i)
-    for (index_t j = 0; j < nc; ++j) b[j + i * n] = ta[j + i * nc];
-}
-
 }  // namespace detail
 
 /// Cache-oblivious blocked transpose of an r×c column-major matrix into a
@@ -143,59 +120,12 @@ void transpose_blocked(const T* x, T* y, index_t rows, index_t cols) {
   }
 }
 
-/// In-place transpose of an n×n matrix (leading dimension n): diagonal
-/// tiles transpose within themselves, mirrored off-diagonal tile pairs
-/// swap-transpose through stack buffers. Block row bi owns the pairs
-/// (bi, bj > bi), so the parallel stripes touch disjoint tiles.
-template <typename T>
-void transpose_inplace(T* x, index_t n) {
-  if (n <= 1) return;
-  FMMFFT_TRAFFIC_RW("transpose", double(n) * double(n) * sizeof(T),
-                    double(n) * double(n) * sizeof(T), 0);
-  constexpr index_t side = detail::transpose_tile_side<T>();
-  const index_t nb = (n + side - 1) / side;
-  parallel_for(
-      nb,
-      [&](index_t b0, index_t b1) {
-        for (index_t bi = b0; bi < b1; ++bi) {
-          const index_t i0 = bi * side, i1 = std::min(n, i0 + side);
-          for (index_t i = i0; i < i1; ++i)  // diagonal tile: direct swaps
-            for (index_t j = i0; j < i; ++j) std::swap(x[i + j * n], x[j + i * n]);
-          for (index_t bj = bi + 1; bj < nb; ++bj) {
-            const index_t j0 = bj * side, j1 = std::min(n, j0 + side);
-            detail::swap_transpose_tile(x + i0 + j0 * n, x + j0 + i0 * n, n, i1 - i0, j1 - j0);
-          }
-        }
-      },
-      /*grain=*/1);
-}
-
-/// Shape-checked front door for callers that carry a (rows, cols) pair: an
-/// in-place transpose only exists for square matrices, and handing a
-/// rectangular shape to the square kernel used to be silent UB (the kernel
-/// would read the leading-dimension-n layout that isn't there). Reject it
-/// with a hard error instead; rectangular layouts must go out-of-place
-/// through transpose_blocked.
-template <typename T>
-void transpose_inplace(T* x, index_t rows, index_t cols) {
-  FMMFFT_CHECK_MSG(rows == cols, "transpose_inplace needs a square matrix, got "
-                                     << rows << "x" << cols
-                                     << " (use transpose_blocked for rectangular shapes)");
-  transpose_inplace(x, rows);
-}
-
 /// y := Π_{M,P} x (out-of-place). y[m + p*M] = x[p + m*P]. N = M*P.
 /// Routed through the cache-oblivious transpose: x viewed as a P×M
 /// column-major matrix, transposed into the M-major layout.
 template <typename T>
 void permute_mp(const T* x, T* y, index_t m_dim, index_t p_dim) {
   transpose_blocked(x, y, p_dim, m_dim);
-}
-
-/// y := Π_{P,M} x, the inverse of Π_{M,P}.
-template <typename T>
-void permute_pm(const T* x, T* y, index_t m_dim, index_t p_dim) {
-  permute_mp(x, y, p_dim, m_dim);
 }
 
 }  // namespace fmmfft

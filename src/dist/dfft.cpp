@@ -10,19 +10,39 @@
 #include "obs/obs.hpp"
 
 namespace fmmfft::dist {
+namespace {
+
+// Both drivers check an M×P split over G devices before any member is built
+// from it: the fabric and the FFT plans would report their own rules
+// instead, and `% g` would divide by zero.
+void check_split(index_t m, index_t p, int g) {
+  FMMFFT_CHECK_MSG(m >= 1 && p >= 1, "FFT dimensions must be positive, got " << m << "x" << p);
+  FMMFFT_CHECK_MSG(g >= 1, "need at least one device, got G=" << g);
+  FMMFFT_CHECK_MSG(m % g == 0 && p % g == 0,
+                   "G must divide both FFT dimensions (" << m << "x" << p << ", G=" << g << ")");
+}
+
+// M of the balanced split N = M·P (M ≥ P), once N and the split over G
+// are checked.
+index_t checked_factor_m(index_t n, int g) {
+  FMMFFT_CHECK_MSG(is_pow2(n) && n >= 4, "N must be a power of two >= 4");
+  const index_t m = index_t(1) << ((ilog2_exact(n) + 1) / 2);
+  check_split(m, n / m, g);
+  return m;
+}
+
+}  // namespace
+
 template <typename T>
 DistFft1d<T>::DistFft1d(index_t n, int g)
     : n_(n),
-      m_(index_t(1) << ((ilog2_exact(n) + 1) / 2)),
+      m_(checked_factor_m(n, g)),
       p_(n / m_),
       g_(g),
       fabric_(g),
       plan_m_(m_),
       plan_p_(p_),
       twiddle_(n) {
-  FMMFFT_CHECK_MSG(is_pow2(n) && n >= 4, "N must be a power of two >= 4");
-  FMMFFT_CHECK_MSG(g >= 1 && m_ % g == 0 && p_ % g == 0,
-                   "G must divide both FFT factors (N=" << n << ", G=" << g << ")");
   const index_t slab = n_ / g_;
   for (int r = 0; r < g_; ++r) {
     slab_a_.emplace_back(slab);
@@ -36,48 +56,86 @@ DistFft1d<T>::DistFft1d(index_t n, int g)
   }
 }
 
+// Π_{M,P} · (I_M⊗F_P) · Π_{P,M} · T_{P,M} · (I_P⊗F_M) · Π_{M,P} as one graph:
+// each exchange is chunked on the FFT phase that produces its payload, so
+// copies overlap the remaining chunks, and A2A-3 scatters straight into
+// `out`. Every task after A2A-1 depends on every load, so in == out is safe.
 template <typename T>
 void DistFft1d<T>::execute(const std::complex<T>* in, std::complex<T>* out) {
   using Cx = std::complex<T>;
-  const index_t slab = n_ / g_;
+  const index_t slab = n_ / g_, mg = m_ / g_, pg = p_ / g_;
+  const index_t ncm = phase_chunks(g_, pg), ncp = phase_chunks(g_, mg);
   auto a = buffer_ptrs(slab_a_);
   auto b = buffer_ptrs(slab_b_);
+  std::vector<Cx*> y;
+  for (int r = 0; r < g_; ++r) y.push_back(out + r * slab);
+  exec::DeviceLanes lanes(g_);
+  exec::TaskGraph graph(lanes.count());
+  graph.name_lanes(lanes);
 
-  // Device-resident input: scatter is a local placement, not traffic.
-  for (int r = 0; r < g_; ++r) std::memcpy(a[(std::size_t)r], in + r * slab, sizeof(Cx) * slab);
+  // Device-resident input: loading slab r is a local placement, not traffic.
+  std::vector<exec::TaskId> load;
+  for (int r = 0; r < g_; ++r)
+    load.push_back(graph.submit("load d" + std::to_string(r),
+                                {lanes.compute(r), /*ordered=*/true, "fft"},
+                                [dst = a[(std::size_t)r], src = in + r * slab, slab] {
+                                  std::memcpy(dst, src, sizeof(Cx) * (std::size_t)slab);
+                                }));
 
-  // (1) Transpose P-major -> M-major (all-to-all #1).
-  exchange_permute_mp(a, b, m_, p_, "A2A-1").run(fabric_);
-  // (2) P local FFTs of size M (P/G per device, contiguous blocks).
-  {
-    FMMFFT_SPAN("DFFT-M");
-    for (int r = 0; r < g_; ++r)
-      plan_m_.execute_batched(b[(std::size_t)r], p_ / g_, fft::Direction::Forward);
+  // (1) P-major -> M-major (A2A-1), then per device P/G FFTs of size M,
+  // each chunk scaling its rows by their slice of the twiddle diagonal.
+  // A2A-2 scatters back into the A slabs, so it waits until A2A-1 has
+  // finished reading them.
+  const auto a2a1 = exchange_permute_mp(a, b, m_, p_, "A2A-1")
+                        .submit(graph, lanes, fabric_,
+                                [&](int s, int) { return load[(std::size_t)s]; });
+  std::vector<std::vector<exec::TaskId>> fftm((std::size_t)g_);
+  std::vector<exec::TaskId> war((std::size_t)g_);
+  for (int r = 0; r < g_; ++r) {
+    const exec::TaskId join =
+        submit_join(graph, lanes, r, "a2a1-join", a2a1.arrived[(std::size_t)r]);
+    Cx* rows = b[(std::size_t)r];
+    const Cx* tw = twiddle_.data() + r * slab;
+    fftm[(std::size_t)r] = submit_phase(
+        graph, lanes, r, "fftm", "fft", pg, ncm, {join}, [this, rows, tw](index_t lo, index_t hi) {
+          {
+            FMMFFT_SPAN("DFFT-M");
+            plan_m_.execute_batched(rows + lo * m_, hi - lo, fft::Direction::Forward);
+          }
+          FMMFFT_SPAN("DFFT-TW");
+          for (index_t i = lo * m_; i < hi * m_; ++i) rows[i] *= tw[i];
+        });
+    war[(std::size_t)r] = submit_join(graph, lanes, r, "a2a1-read", a2a1.reads[(std::size_t)r]);
   }
-  // (3) Twiddle scale.
-  {
-    FMMFFT_SPAN("DFFT-TW");
-    for (int r = 0; r < g_; ++r)
-      for (index_t i = 0; i < slab; ++i) b[(std::size_t)r][i] *= twiddle_[r * slab + i];
-  }
-  // (4) Transpose M-major -> P-major (all-to-all #2).
-  exchange_permute_mp(b, a, p_, m_, "A2A-2").run(fabric_);
-  // (5) M local FFTs of size P.
-  {
-    FMMFFT_SPAN("DFFT-P");
-    for (int r = 0; r < g_; ++r)
-      plan_p_.execute_batched(a[(std::size_t)r], m_ / g_, fft::Direction::Forward);
-  }
-  // (6) Transpose P-major -> M-major (all-to-all #3): in-order output.
-  exchange_permute_mp(a, b, m_, p_, "A2A-3").run(fabric_);
 
-  for (int r = 0; r < g_; ++r) std::memcpy(out + r * slab, b[(std::size_t)r], sizeof(Cx) * slab);
+  // (2) M-major -> P-major (A2A-2), then M/G FFTs of size P per device.
+  const auto a2a2 = exchange_permute_mp(b, a, p_, m_, "A2A-2", ncm)
+                        .submit(graph, lanes, fabric_,
+                                [&](int s, int c) { return fftm[(std::size_t)s][(std::size_t)c]; },
+                                war);
+  std::vector<std::vector<exec::TaskId>> fftp((std::size_t)g_);
+  for (int r = 0; r < g_; ++r) {
+    const exec::TaskId join =
+        submit_join(graph, lanes, r, "a2a2-join", a2a2.arrived[(std::size_t)r]);
+    Cx* rows = a[(std::size_t)r];
+    fftp[(std::size_t)r] = submit_phase(graph, lanes, r, "fftp", "fft", mg, ncp, {join},
+                                        [this, rows](index_t lo, index_t hi) {
+                                          FMMFFT_SPAN("DFFT-P");
+                                          plan_p_.execute_batched(rows + lo * p_, hi - lo,
+                                                                  fft::Direction::Forward);
+                                        });
+  }
+
+  // (3) P-major -> M-major (A2A-3) into the caller's output: in order.
+  exchange_permute_mp(a, y, m_, p_, "A2A-3", ncp)
+      .submit(graph, lanes, fabric_,
+              [&](int s, int c) { return fftp[(std::size_t)s][(std::size_t)c]; });
+  graph.run();
 }
 
 template <typename T>
 Dist2dFft<T>::Dist2dFft(index_t m, index_t p, int g)
-    : m_(m), p_(p), g_(g), fabric_(g), plan_m_(m), plan_p_(p) {
-  FMMFFT_CHECK_MSG(m % g == 0 && p % g == 0, "G must divide both 2D FFT dimensions");
+    : m_((check_split(m, p, g), m)), p_(p), g_(g), fabric_(g), plan_m_(m), plan_p_(p) {
   for (int r = 0; r < g_; ++r) scratch_.emplace_back(m_ * p_ / g_);
 }
 
@@ -92,11 +150,9 @@ void Dist2dFft<T>::execute_slabs(const std::vector<std::complex<T>*>& slabs,
 }
 
 template <typename T>
-std::vector<exec::TaskId> Dist2dFft<T>::submit_slabs(exec::TaskGraph& graph,
-                                                     const exec::DeviceLanes& lanes,
-                                                     const std::vector<std::complex<T>*>& slabs,
-                                                     sim::Fabric& fabric,
-                                                     const std::vector<exec::TaskId>& ready) {
+void Dist2dFft<T>::submit_slabs(exec::TaskGraph& graph, const exec::DeviceLanes& lanes,
+                                const std::vector<std::complex<T>*>& slabs, sim::Fabric& fabric,
+                                const std::vector<exec::TaskId>& ready) {
   using Cx = std::complex<T>;
   FMMFFT_CHECK((index_t)slabs.size() == g_);
   FMMFFT_CHECK(ready.empty() || (int)ready.size() == g_);
@@ -131,7 +187,6 @@ std::vector<exec::TaskId> Dist2dFft<T>::submit_slabs(exec::TaskGraph& graph,
   // (c) Column FFTs per device once every fragment of its scratch slab has
   // arrived, then the slab write-back — which must also wait for every pack
   // that still reads this device's slab (WAR hazard).
-  std::vector<exec::TaskId> terminal((std::size_t)g_);
   for (int r = 0; r < g_; ++r) {
     const exec::TaskId join =
         submit_join(graph, lanes, r, "a2a-join", a2a.arrived[(std::size_t)r]);
@@ -144,12 +199,10 @@ std::vector<exec::TaskId> Dist2dFft<T>::submit_slabs(exec::TaskGraph& graph,
                              });
     deps.insert(deps.end(), a2a.reads[(std::size_t)r].begin(), a2a.reads[(std::size_t)r].end());
     Cx* dst = slabs[(std::size_t)r];
-    terminal[(std::size_t)r] = graph.submit(
-        "writeback d" + std::to_string(r), {lanes.compute(r), /*ordered=*/true, "fft"},
-        [dst, cols, slab] { std::memcpy(dst, cols, sizeof(Cx) * (std::size_t)slab); },
-        std::move(deps));
+    graph.submit("writeback d" + std::to_string(r), {lanes.compute(r), /*ordered=*/true, "fft"},
+                 [dst, cols, slab] { std::memcpy(dst, cols, sizeof(Cx) * (std::size_t)slab); },
+                 std::move(deps));
   }
-  return terminal;
 }
 
 template <typename T>

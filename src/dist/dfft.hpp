@@ -7,9 +7,13 @@
 //  * Dist2dFft — the M×P 2D FFT used as the second stage of the FMM-FFT
 //    (and as Fig. 3's "2D cuFFTXT" budget bar): ONE all-to-all.
 //
-// Data is host-staged: execute() takes the full input/output arrays and
-// scatters/gathers to per-device slabs internally; slab residency and all
-// inter-device traffic go through the fabric ledger.
+// execute() takes the full input/output arrays and runs one task graph.
+// DistFft1d's graph runs from input to output: per-device tasks load the
+// input slabs (device residency, not traffic), and its last exchange
+// scatters straight into the caller's output. Dist2dFft::execute copies
+// through per-device slabs around its graph; the distributed FMM-FFT
+// submits the 2D FFT into its own graph instead, on its output's slabs.
+// All inter-device traffic goes through the fabric ledger.
 #pragma once
 
 #include <complex>
@@ -35,6 +39,9 @@ class DistFft1d {
   index_t factor_m() const { return m_; }
   index_t factor_p() const { return p_; }
 
+  /// out = F_N · in (in == out allowed). Builds the three-exchange task
+  /// graph and runs it in the exec mode in effect; both modes produce
+  /// bit-identical output at any worker count.
   void execute(const std::complex<T>* in, std::complex<T>* out);
 
   const sim::Fabric& fabric() const { return fabric_; }
@@ -73,13 +80,10 @@ class Dist2dFft {
   /// neighbouring FFT chunks as dist::dist2dfft_schedule models. A graph
   /// that drains on one thread gets one chunk per phase and device and one
   /// task for the exchange. `ready[r]` (optional) gates device r's first
-  /// task; returns the per-device terminal task (slab writes complete when
-  /// it finishes).
-  std::vector<exec::TaskId> submit_slabs(exec::TaskGraph& graph,
-                                         const exec::DeviceLanes& lanes,
-                                         const std::vector<std::complex<T>*>& slabs,
-                                         sim::Fabric& fabric,
-                                         const std::vector<exec::TaskId>& ready = {});
+  /// task; the slabs hold the result once the graph has run.
+  void submit_slabs(exec::TaskGraph& graph, const exec::DeviceLanes& lanes,
+                    const std::vector<std::complex<T>*>& slabs, sim::Fabric& fabric,
+                    const std::vector<exec::TaskId>& ready = {});
 
   const sim::Fabric& fabric() const { return fabric_; }
 

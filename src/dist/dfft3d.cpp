@@ -9,13 +9,29 @@
 #include "obs/obs.hpp"
 
 namespace fmmfft::dist {
+namespace {
+
+// Checked before any member is built from them: the FFT plans would reject
+// a zero extent and the fabric a zero G with their own rules.
+void check_3d(index_t n0, index_t n1, index_t n2, int g) {
+  FMMFFT_CHECK_MSG(is_pow2(n0) && is_pow2(n1) && is_pow2(n2),
+                   "3D FFT extents must be powers of two");
+  FMMFFT_CHECK_MSG(g >= 1, "need at least one device, got G=" << g);
+}
+
+}  // namespace
+
 template <typename T>
 Dist3dFft<T>::Dist3dFft(index_t n0, index_t n1, index_t n2, int g, model::Decomp decomp,
                         model::GridShape grid)
-    : n0_(n0), n1_(n1), n2_(n2), g_(g), fabric_(g), plan0_(n0), plan1_(n1), plan2_(n2) {
-  FMMFFT_CHECK_MSG(is_pow2(n0) && is_pow2(n1) && is_pow2(n2),
-                   "3D FFT extents must be powers of two");
-  FMMFFT_CHECK_MSG(g >= 1, "need at least one device");
+    : n0_((check_3d(n0, n1, n2, g), n0)),
+      n1_(n1),
+      n2_(n2),
+      g_(g),
+      fabric_(g),
+      plan0_(n0),
+      plan1_(n1),
+      plan2_(n2) {
   const DecompChoice choice = resolve_decomp_3d(g, n0, n1, n2, decomp, grid);
   decomp_ = choice.decomp;
   grid_ = choice.grid;
@@ -28,7 +44,7 @@ Dist3dFft<T>::Dist3dFft(index_t n0, index_t n1, index_t n2, int g, model::Decomp
 }
 
 // ---------------------------------------------------------------------------
-// Host staging. Residency placement, not fabric traffic (as in DistFft1d).
+// Host staging. Residency placement, not fabric traffic.
 
 template <typename T>
 void Dist3dFft<T>::scatter(const std::complex<T>* in) {

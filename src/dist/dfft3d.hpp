@@ -17,10 +17,10 @@
 // their outputs are bit-identical to each other, in either exec mode, and
 // to a G=1 run (the tests' memcmp oracle).
 //
-// Data is host-staged like DistFft1d: execute() scatters the natural-order
-// input (i0 fastest) to per-device pencils/slabs and gathers the result in
-// the fully reversed order out[i2 + n2·(i1 + n1·i0)] — the layout all
-// decompositions share without a fourth exchange.
+// Data is host-staged: execute() scatters the natural-order input (i0
+// fastest) to per-device pencils/slabs before the graph runs and gathers
+// the result after it, in the fully reversed order out[i2 + n2·(i1 + n1·i0)]
+// — the layout all decompositions share without a fourth exchange.
 #pragma once
 
 #include <complex>

@@ -28,7 +28,6 @@ DistFmmFft<InT>::DistFmmFft(const fmm::Params& prm, int g, fmm::Precision prec)
       engines32_.push_back(std::make_unique<fmm::Engine<float>>(prm_, c_, g_, r));
     else
       engines_.push_back(std::make_unique<fmm::Engine<Real>>(prm_, c_, g_, r));
-    slabs_.emplace_back(prm_.n / g_);
   }
   for (index_t p = 1; p < prm_.p; ++p) {
     auto r = fmm::rho(p, prm_.p, prm_.m());
@@ -38,7 +37,7 @@ DistFmmFft<InT>::DistFmmFft(const fmm::Params& prm, int g, fmm::Precision prec)
 
 template <typename InT>
 template <typename ER>
-void DistFmmFft<InT>::post_slab_t(int r) {
+void DistFmmFft<InT>::post_slab_t(int r, Out* s) {
   // POST fused with the 2D-FFT load (§4.9 line 15): slab element
   // n = p + P·mg with mg in rank r's range. Rows are independent
   // elementwise work, so the parallel_for split is bit-identical (and it
@@ -56,7 +55,6 @@ void DistFmmFft<InT>::post_slab_t(int r) {
   auto& es = eset<ER>();
   const ER* t = es[(std::size_t)r]->target_box(0);
   const ER* rr = es[(std::size_t)r]->reduction();
-  Out* s = slabs_[(std::size_t)r].data();
   const index_t m_loc = slab_n / p_total;
   parallel_for(
       m_loc,
@@ -249,28 +247,20 @@ void DistFmmFft<InT>::execute_t(const InT* in, Out* out) {
       graph.submit(dev("l2l-" + std::to_string(lev), r),
                    {lanes.compute(r), /*ordered=*/true, "fmm"}, [e, lev] { e->l2l(lev); });
     }
+  // POST writes device r's slab of `out` (after r's LOAD on the same lane,
+  // so in == out is safe), and the distributed 2D FFT rides the same graph
+  // in those slabs.
   std::vector<exec::TaskId> post((std::size_t)g_);
+  std::vector<Out*> slabs;
   for (int r = 0; r < g_; ++r) {
     auto* e = es[(std::size_t)r].get();
+    Out* s = out + r * slab_n;
     graph.submit(dev("l2t", r), {lanes.compute(r), /*ordered=*/true, "fmm"}, [e] { e->l2t(); });
     post[(std::size_t)r] = graph.submit(dev("post", r), {lanes.compute(r), /*ordered=*/true, "post"},
-                                        [this, r] { post_slab_t<ER>(r); });
+                                        [this, r, s] { post_slab_t<ER>(r, s); });
+    slabs.push_back(s);
   }
-
-  // Distributed 2D FFT rides the same graph; each device's slab store waits
-  // only for that device's write-back.
-  auto sp = buffer_ptrs(slabs_);
-  const std::vector<exec::TaskId> terminal = fft2d_.submit_slabs(graph, lanes, sp, fabric_, post);
-  for (int r = 0; r < g_; ++r) {
-    Out* dst = out + r * slab_n;
-    const Out* src = sp[(std::size_t)r];
-    graph.submit(dev("store", r), {lanes.compute(r), /*ordered=*/true, "fft"},
-                 [dst, src, slab_n] {
-                   std::memcpy(dst, src, sizeof(Out) * static_cast<std::size_t>(slab_n));
-                 },
-                 {terminal[(std::size_t)r]});
-  }
-
+  fft2d_.submit_slabs(graph, lanes, slabs, fabric_, post);
   graph.run();
 }
 

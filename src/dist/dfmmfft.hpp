@@ -2,9 +2,11 @@
 //
 // Each device runs one fmm::Engine on its slab of leaf boxes; the halo
 // exchanges (COMM S, COMM Mℓ), the base-level allgather (COMM M_B) and the
-// 2D FFT's single all-to-all go through the fabric ledger. Numerical
-// results are exact (identical to the single-node pipeline up to floating
-// point associativity); timing comes from the schedule in
+// 2D FFT's single all-to-all go through the fabric ledger. One task graph
+// runs from the input to the output: LOAD reads each device's input slab,
+// and POST and the 2D FFT work in that device's slab of the output.
+// Numerical results are exact (identical to the single-node pipeline up to
+// floating point associativity); timing comes from the schedule in
 // dist/schedules.hpp simulated under an architecture model.
 #pragma once
 
@@ -39,10 +41,11 @@ class DistFmmFft {
   int num_devices() const { return g_; }
   fmm::Precision precision() const { return prec_; }
 
-  /// Host-staged execute: out = F_N · in, both length N. Builds the stage
+  /// out = F_N · in, both length N (in == out allowed). Builds the stage
   /// task graph and runs it in the exec mode in effect (FMMFFT_EXEC or
   /// exec::ScopedMode); both modes produce bit-identical output at any
-  /// worker count.
+  /// worker count. LOAD reads each device's input slab, and POST and the 2D
+  /// FFT work in its slab of `out`.
   void execute(const InT* in, Out* out);
 
   const sim::Fabric& fabric() const { return fabric_; }
@@ -56,8 +59,8 @@ class DistFmmFft {
 
  private:
   // The whole FMM side is templated on the engine real ER: Real for the
-  // plain pipeline, float for Mixed-under-fp64. The shell (slabs, 2D FFT,
-  // output) is always Real.
+  // plain pipeline, float for Mixed-under-fp64. The shell (2D FFT, output)
+  // is always Real.
   template <typename ER>
   std::vector<std::unique_ptr<fmm::Engine<ER>>>& eset() {
     if constexpr (std::is_same_v<ER, Real>)
@@ -68,9 +71,9 @@ class DistFmmFft {
   template <typename ER>
   void execute_t(const InT* in, Out* out);
   /// POST for device r (§4.9 line 15): one pass from the engine's T tensor
-  /// into the 2D-FFT slab, widening to the shell precision on load.
+  /// into the 2D-FFT slab `s`, widening to the shell precision on load.
   template <typename ER>
-  void post_slab_t(int r);
+  void post_slab_t(int r, Out* s);
 
   fmm::Params prm_;
   int g_;
@@ -80,7 +83,6 @@ class DistFmmFft {
   std::vector<std::unique_ptr<fmm::Engine<Real>>> engines_;
   std::vector<std::unique_ptr<fmm::Engine<float>>> engines32_;  // Mixed only
   Dist2dFft<Real> fft2d_;
-  std::vector<Buffer<Out>> slabs_;  // post-processed data fed to the 2D FFT
   std::vector<Out> rho_;
 };
 

@@ -6,9 +6,9 @@
 // Tasks bind to lanes — per-device ordered queues that serialize like CUDA
 // streams (DeviceLanes numbers one compute lane per device plus one copy
 // lane per directed device pair, mirroring the simulator's resources) — and
-// carry explicit cross-lane dependency edges. Each distributed driver
-// describes its stages once, as a graph, and run() executes it one of two
-// ways:
+// carry explicit cross-lane dependency edges. Each of the four distributed
+// drivers (DistFmmFft, DistFft1d, Dist2dFft, Dist3dFft) describes its stages
+// once, as one graph, and run() executes it one of two ways:
 //
 //  * Async (the default) drains ready tasks on the existing
 //    fmmfft::ThreadPool, so device compute overlaps fabric copies exactly

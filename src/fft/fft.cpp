@@ -20,7 +20,6 @@
 #include "common/arena.hpp"
 #include "common/error.hpp"
 #include "common/math.hpp"
-#include "common/permute.hpp"
 #include "common/threadpool.hpp"
 #include "obs/obs.hpp"
 #include "obs/traffic.hpp"
@@ -434,62 +433,10 @@ PlanCacheStats plan_cache_stats() {
 }
 
 // ---------------------------------------------------------------------------
-// Plan2D
-
-template <typename T>
-struct Plan2D<T>::Impl {
-  index_t n0, n1;
-  std::shared_ptr<const Plan1D<T>> p0, p1;
-
-  Impl(index_t n0_, index_t n1_)
-      : n0(n0_), n1(n1_), p0(cached_plan1d<T>(n0_)), p1(cached_plan1d<T>(n1_)) {}
-
-  void run(Cx<T>* data, Direction dir) const {
-    // FFT the n1 contiguous length-n0 lines, transpose, FFT the n0
-    // length-n1 lines, transpose back. Scratch is an arena lease, so a
-    // shared Plan2D is executable from any number of threads.
-    ScratchBlock<Cx<T>> scratch(n0 * n1);
-    p0->execute_batched(data, n1, dir);
-    transpose_blocked(data, scratch.data(), n0, n1);
-    p1->execute_batched(scratch.data(), n0, dir);
-    transpose_blocked(scratch.data(), data, n1, n0);
-  }
-};
-
-template <typename T>
-Plan2D<T>::Plan2D(index_t n0, index_t n1) : impl_(std::make_unique<Impl>(n0, n1)) {}
-template <typename T>
-Plan2D<T>::~Plan2D() = default;
-template <typename T>
-Plan2D<T>::Plan2D(Plan2D&&) noexcept = default;
-template <typename T>
-Plan2D<T>& Plan2D<T>::operator=(Plan2D&&) noexcept = default;
-
-template <typename T>
-index_t Plan2D<T>::size0() const {
-  return impl_->n0;
-}
-template <typename T>
-index_t Plan2D<T>::size1() const {
-  return impl_->n1;
-}
-template <typename T>
-void Plan2D<T>::execute(Cx<T>* data, Direction dir) const {
-  impl_->run(data, dir);
-}
-
-// ---------------------------------------------------------------------------
 
 template <typename T>
 void fft(Cx<T>* data, index_t n, Direction dir) {
   cached_plan1d<T>(n)->execute(data, dir);
-}
-
-template <typename T>
-void fft2d(Cx<T>* data, index_t n0, index_t n1, Direction dir) {
-  // Plan2D's own 1D plans come from the cache; only the (cheap) 2D shell
-  // is rebuilt per call.
-  Plan2D<T>(n0, n1).execute(data, dir);
 }
 
 template <typename T>
@@ -501,10 +448,8 @@ void normalize(Cx<T>* data, index_t n, index_t transform_size) {
 #define FMMFFT_INSTANTIATE_FFT(T)                                                   \
   template void dft_reference<T>(const Cx<T>*, Cx<T>*, index_t, Direction);          \
   template class Plan1D<T>;                                                          \
-  template class Plan2D<T>;                                                          \
   template std::shared_ptr<const Plan1D<T>> cached_plan1d<T>(index_t);               \
   template void fft<T>(Cx<T>*, index_t, Direction);                                  \
-  template void fft2d<T>(Cx<T>*, index_t, index_t, Direction);                       \
   template void normalize<T>(Cx<T>*, index_t, index_t);
 
 FMMFFT_INSTANTIATE_FFT(float)

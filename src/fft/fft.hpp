@@ -58,28 +58,8 @@ class Plan1D {
   std::unique_ptr<Impl> impl_;
 };
 
-/// 2D transform of an n0×n1 column-major array (n0 fastest). Implemented
-/// as rows-FFT, blocked transpose, rows-FFT, transpose back.
-template <typename T>
-class Plan2D {
- public:
-  Plan2D(index_t n0, index_t n1);
-  ~Plan2D();
-  Plan2D(Plan2D&&) noexcept;
-  Plan2D& operator=(Plan2D&&) noexcept;
-
-  index_t size0() const;
-  index_t size1() const;
-
-  void execute(std::complex<T>* data, Direction dir) const;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
 /// Process-wide LRU plan cache. Returns a shared immutable plan for size
-/// n, constructing it on first use; repeated fft()/fft2d()/per-call-plan
+/// n, constructing it on first use; repeated fft()/per-call-plan
 /// paths stop rebuilding twiddle tables. Thread-safe.
 template <typename T>
 std::shared_ptr<const Plan1D<T>> cached_plan1d(index_t n);
@@ -96,8 +76,6 @@ PlanCacheStats plan_cache_stats();
 /// process-wide plan cache).
 template <typename T>
 void fft(std::complex<T>* data, index_t n, Direction dir = Direction::Forward);
-template <typename T>
-void fft2d(std::complex<T>* data, index_t n0, index_t n1, Direction dir = Direction::Forward);
 
 /// Scale data by 1/n (apply after an Inverse transform to invert Forward).
 template <typename T>

@@ -2,71 +2,12 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <istream>
-#include <ostream>
 #include <sstream>
 #include <vector>
 
 #include "common/error.hpp"
 
 namespace fmmfft::model {
-namespace {
-
-const char* scalar_token(Scalar s) {
-  switch (s) {
-    case Scalar::F32: return "f32";
-    case Scalar::F64: return "f64";
-    case Scalar::C32: return "c32";
-    case Scalar::C64: return "c64";
-  }
-  return "?";
-}
-
-Scalar parse_scalar(const std::string& t) {
-  if (t == "f32") return Scalar::F32;
-  if (t == "f64") return Scalar::F64;
-  if (t == "c32") return Scalar::C32;
-  if (t == "c64") return Scalar::C64;
-  throw Error("unknown scalar token in tuning cache: " + t);
-}
-
-}  // namespace
-
-std::optional<fmm::Params> TuningCache::lookup(const Key& key) const {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return std::nullopt;
-  return it->second;
-}
-
-void TuningCache::store(const Key& key, const fmm::Params& prm) {
-  FMMFFT_CHECK_MSG(prm.n == key.n, "tuning record size mismatch");
-  entries_[key] = prm;
-}
-
-void TuningCache::save(std::ostream& os) const {
-  os << "# fmmfft tuning cache: n g scalar arch : P ML B Q\n";
-  for (const auto& [key, prm] : entries_)
-    os << key.n << " " << key.g << " " << scalar_token(key.scalar) << " " << key.arch << " : "
-       << prm.p << " " << prm.ml << " " << prm.b << " " << prm.q << "\n";
-}
-
-void TuningCache::load(std::istream& is) {
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    Key key;
-    std::string scalar_tok, colon;
-    fmm::Params prm;
-    ls >> key.n >> key.g >> scalar_tok >> key.arch >> colon >> prm.p >> prm.ml >> prm.b >>
-        prm.q;
-    FMMFFT_CHECK_MSG(!ls.fail() && colon == ":", "malformed tuning record: " << line);
-    key.scalar = parse_scalar(scalar_tok);
-    prm.n = key.n;
-    prm.validate_distributed(key.g);
-    entries_[key] = prm;
-  }
-}
 
 const char* to_string(Decomp d) {
   switch (d) {
@@ -177,18 +118,6 @@ DecompDecision choose_decomp(Decomp requested, GridShape requested_grid, index_t
   if (d.pencil_feasible)
     d.pencil_seconds = fft3d_pencil_seconds(n0, n1, n2, d.grid.pr, d.grid.pc, w, a, true);
   return decide(requested, d);
-}
-
-fmm::Params search_best_params_cached(TuningCache& cache, index_t n, index_t g,
-                                      const Workload& w, const ArchParams& arch, int q,
-                                      int b_max) {
-  const Scalar sc = w.is_complex ? (w.is_double ? Scalar::C64 : Scalar::C32)
-                                 : (w.is_double ? Scalar::F64 : Scalar::F32);
-  const TuningCache::Key key{n, g, sc, arch.name};
-  if (auto hit = cache.lookup(key)) return *hit;
-  const fmm::Params best = search_best_params(n, g, w, arch, q, b_max);
-  cache.store(key, best);
-  return best;
 }
 
 }  // namespace fmmfft::model

@@ -1,58 +1,18 @@
-// Persistent tuning cache: the paper reports "the fastest FMM-FFT found by
-// searching the parameter space" for every (N, system, precision); a
-// production library memoizes that search. Plain-text format, one record
-// per line, so caches are diffable and mergeable.
-#pragma once
-
-#include <iosfwd>
-#include <map>
-#include <optional>
-#include <string>
-
-#include "common/types.hpp"
-#include "fmm/params.hpp"
-#include "model/arch.hpp"
-#include "model/counts.hpp"
-
-namespace fmmfft::model {
-
-class TuningCache {
- public:
-  struct Key {
-    index_t n;
-    index_t g;
-    Scalar scalar;
-    std::string arch;
-    auto operator<=>(const Key&) const = default;
-  };
-
-  std::optional<fmm::Params> lookup(const Key& key) const;
-  void store(const Key& key, const fmm::Params& prm);
-  std::size_t size() const { return entries_.size(); }
-
-  /// Serialize as "n g scalar arch : P ML B Q" lines.
-  void save(std::ostream& os) const;
-  /// Merge records from a stream (later records win). Ignores blank lines
-  /// and lines starting with '#'; throws on malformed records.
-  void load(std::istream& is);
-
- private:
-  std::map<Key, fmm::Params> entries_;
-};
-
-/// search_best_params with memoization: on hit returns the cached plan, on
-/// miss runs the model search and records the winner.
-fmm::Params search_best_params_cached(TuningCache& cache, index_t n, index_t g,
-                                      const Workload& w, const ArchParams& arch, int q,
-                                      int b_max = 8);
-
-// ---------------------------------------------------------------------------
 // Slab-vs-pencil decomposition autotuning for the distributed 3D FFT. It
 // consults `choose_decomp` when the caller (or FMMFFT_DECOMP) says `auto`:
 // the §5 model prices the slab transform, with its one G-wide exchange,
 // against the pencil transform, with its two row/column sub-communicator
 // exchanges, and the cheaper one wins. The 2D FFT always runs the one-phase
 // slab exchange.
+#pragma once
+
+#include <string>
+
+#include "common/types.hpp"
+#include "model/arch.hpp"
+#include "model/counts.hpp"
+
+namespace fmmfft::model {
 
 /// How a distributed 3D transform splits its data across G devices.
 enum class Decomp {

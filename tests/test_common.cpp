@@ -143,7 +143,7 @@ TEST(Permute, PMIsInverse) {
   std::vector<double> x(M * P), y(M * P), z(M * P);
   fill_uniform(x.data(), M * P, 42);
   permute_mp(x.data(), y.data(), M, P);
-  permute_pm(y.data(), z.data(), M, P);
+  permute_mp(y.data(), z.data(), P, M);
   EXPECT_EQ(x, z);
 }
 
@@ -222,20 +222,9 @@ TEST(Permute, TransposeExhaustiveShapesF32) {
 }
 
 TEST(Permute, TransposeInplaceAndStridedC32) {
-  // c32 shares fp64's 8-byte element budget; check the in-place square
-  // path and the strided fused-A2A kernel at that width.
+  // c32 shares fp64's 8-byte element budget; check the strided fused-A2A
+  // kernel at that width.
   using Cx = std::complex<float>;
-  for (index_t n : {1, 31, 32, 33, 100}) {
-    std::vector<Cx> x(std::size_t(n * n));
-    fill_uniform(x.data(), n * n, std::uint64_t(n + 1));
-    std::vector<Cx> want(x.size());
-    transpose_blocked(x.data(), want.data(), n, n);
-    std::vector<Cx> y = x;
-    transpose_inplace(y.data(), n);
-    EXPECT_EQ(y, want) << "n=" << n;
-    transpose_inplace(y.data(), n);
-    EXPECT_EQ(y, x) << "round trip n=" << n;
-  }
   const index_t ldx = 21, ldy = 17, nr = 12, nc = 15;
   std::vector<Cx> x(std::size_t(ldx * nc));
   fill_uniform(x.data(), ldx * nc, 11);
@@ -244,38 +233,6 @@ TEST(Permute, TransposeInplaceAndStridedC32) {
     for (index_t i = 0; i < nr; ++i)
       want[(std::size_t)(j + i * ldy)] = x[(std::size_t)(i + j * ldx)];
   detail::transpose_strided_serial(x.data(), ldx, y.data(), ldy, nr, nc);
-  EXPECT_EQ(y, want);
-}
-
-TEST(Permute, TransposeInplaceMatchesOutOfPlace) {
-  // Square in-place vs out-of-place across sub-tile, tile-exact, straddling
-  // and prime sides; a double round trip restores the input.
-  for (index_t n : {1, 2, 7, 31, 32, 33, 64, 96, 101, 128}) {
-    std::vector<double> x(std::size_t(n * n));
-    fill_uniform(x.data(), n * n, int(n));
-    std::vector<double> want(x.size());
-    transpose_blocked(x.data(), want.data(), n, n);
-    std::vector<double> y = x;
-    transpose_inplace(y.data(), n);
-    EXPECT_EQ(y, want) << "n=" << n;
-    transpose_inplace(y.data(), n);
-    EXPECT_EQ(y, x) << "round trip n=" << n;
-  }
-}
-
-TEST(Permute, TransposeInplaceRejectsRectangular) {
-  // The shape-checked overload must hard-error on non-square matrices
-  // (in-place cycle-following over a rectangle would silently corrupt) and
-  // agree with the square overload when the shape is legal.
-  std::vector<double> x(std::size_t(6 * 4));
-  fill_uniform(x.data(), 24, 7);
-  EXPECT_THROW(transpose_inplace(x.data(), index_t(6), index_t(4)), Error);
-  EXPECT_THROW(transpose_inplace(x.data(), index_t(1), index_t(24)), Error);
-  std::vector<double> sq(std::size_t(4 * 4)), want(sq.size());
-  fill_uniform(sq.data(), 16, 8);
-  transpose_blocked(sq.data(), want.data(), 4, 4);
-  std::vector<double> y = sq;
-  transpose_inplace(y.data(), index_t(4), index_t(4));
   EXPECT_EQ(y, want);
 }
 

@@ -20,6 +20,7 @@
 #include "dist/dfmmfft.hpp"
 #include "exec/executor.hpp"
 #include "model/counts.hpp"
+#include "obs/obs.hpp"
 #include "oracles.hpp"
 
 namespace fmmfft::dist {
@@ -31,6 +32,17 @@ using Cd = std::complex<double>;
 // with the ambient default then carry the fp32 translation envelope and
 // ship ".f32"-keyed halo payloads at half width.
 bool ambient_mixed() { return fmm::default_precision() == fmm::Precision::Mixed; }
+
+/// What a throwing call reports ("no error" when it returns).
+template <typename Call>
+std::string error_of(Call call) {
+  try {
+    call();
+  } catch (const Error& e) {
+    return std::string(e.what());
+  }
+  return std::string("no error");
+}
 
 TEST(Collectives, AllToAllMatchesPermuteMP) {
   const index_t m = 16, p = 8;
@@ -391,6 +403,49 @@ TEST(Baseline1d, ThreeAllToAllsOfExpectedVolume) {
   EXPECT_DOUBLE_EQ(fab.total_bytes(), 3 * per_a2a);
 }
 
+TEST(Baseline1d, OneTaskGraphPerExecute) {
+  // The comparator runs as one exec::TaskGraph in either exec mode, like
+  // the other drivers: one execute counts one graph.
+  const index_t n = 1 << 12;
+  std::vector<Cd> x(static_cast<std::size_t>(n)), y(x.size());
+  fill_uniform(x.data(), n, 4);
+  DistFft1d<double> fftd(n, 4);
+  for (exec::Mode mode : {exec::Mode::Serial, exec::Mode::Async}) {
+    exec::ScopedMode sm(mode);
+    obs::disable();
+    obs::reset();
+    obs::enable_metrics(true);
+    fftd.execute(x.data(), y.data());
+    EXPECT_EQ(obs::Metrics::global().counter("exec.graphs").value(), 1.0);
+    obs::disable();
+    obs::reset();
+  }
+}
+
+TEST(Dist, InPlaceEqualsOutOfPlace) {
+  // in == out: every graph reads its input slabs before anything writes
+  // the output, so both drivers give the out-of-place bytes in place.
+  const fmm::Params prm{1 << 12, 32, 8, 2, 12};
+  std::vector<Cd> x(static_cast<std::size_t>(prm.n)), y(x.size());
+  fill_uniform(x.data(), prm.n, 21);
+  for (exec::Mode mode : {exec::Mode::Serial, exec::Mode::Async}) {
+    exec::ScopedMode sm(mode);
+    for (int g : {1, 2, 4}) {
+      auto check = [&](auto& plan, const char* what) {
+        plan.execute(x.data(), y.data());
+        std::vector<Cd> z = x;
+        plan.execute(z.data(), z.data());
+        EXPECT_EQ(std::memcmp(z.data(), y.data(), sizeof(Cd) * y.size()), 0)
+            << what << " g=" << g;
+      };
+      DistFft1d<double> base(prm.n, g);
+      check(base, "DistFft1d");
+      DistFmmFft<Cd> fmm(prm, g);
+      check(fmm, "DistFmmFft");
+    }
+  }
+}
+
 TEST(Dist2d, MatchesSerial2dFft) {
   const index_t m = 64, p = 32;
   for (int g : {1, 2, 4}) {
@@ -633,17 +688,25 @@ TEST(DistFmmFft, RejectsInvalidDeviceCounts) {
   EXPECT_THROW((DistFft1d<double>(1 << 12, 128)), Error);
   // The plan's own rules are checked before anything is built from it, so
   // the error names the rule rather than a consequence deep in a member.
-  auto error_of = [](const fmm::Params& bad, int g) {
-    try {
-      DistFmmFft<Cd> plan(bad, g);
-    } catch (const Error& e) {
-      return std::string(e.what());
-    }
-    return std::string("no error");
+  auto fmm_error = [](const fmm::Params& bad, int g) {
+    return error_of([&] { DistFmmFft<Cd> plan(bad, g); });
   };
-  EXPECT_NE(error_of({1 << 12, 0, 8, 2, 12}, 2).find("P must be a power of two"),
+  EXPECT_NE(fmm_error({1 << 12, 0, 8, 2, 12}, 2).find("P must be a power of two"),
             std::string::npos);
-  EXPECT_NE(error_of(prm, 3).find("G must be a power of two"), std::string::npos);
+  EXPECT_NE(fmm_error(prm, 3).find("G must be a power of two"), std::string::npos);
+}
+
+TEST(DistFft, ArgumentsCheckedBeforeAnyMemberIsBuilt) {
+  // The FFT drivers name their own rule, not that of a member built from a
+  // bad argument (the fabric's num_devices >= 1, an FFT plan's size > 0).
+  constexpr auto npos = std::string::npos;
+  EXPECT_NE(error_of([] { DistFft1d<double> f(1 << 12, 0); }).find("need at least one device"),
+            npos);
+  EXPECT_NE(error_of([] { Dist2dFft<double> f(64, 32, 0); }).find("need at least one device"),
+            npos);
+  EXPECT_NE(error_of([] { Dist2dFft<double> f(64, 0, 2); })
+                .find("FFT dimensions must be positive"),
+            npos);
 }
 
 }  // namespace

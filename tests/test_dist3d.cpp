@@ -232,6 +232,21 @@ TEST(Dist3d, ForcedInfeasibleDecompositionThrows) {
   EXPECT_THROW((Dist3dFft<double>(17, 16, 8, 1, model::Decomp::Slab)), Error);  // pow2 only
 }
 
+TEST(Dist3d, ArgumentsCheckedBeforeAnyMemberIsBuilt) {
+  // The driver names its own rule, not that of a member built from a bad
+  // argument (an FFT plan's size > 0, the fabric's num_devices >= 1).
+  auto error_of = [](index_t n0, int g) {
+    try {
+      Dist3dFft<double> fft(n0, 16, 16, g);
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_NE(error_of(0, 1).find("3D FFT extents must be powers of two"), std::string::npos);
+  EXPECT_NE(error_of(16, 0).find("need at least one device"), std::string::npos);
+}
+
 TEST(Dist3d, AutoDecisionRecordedInMetrics) {
   obs::disable();
   obs::reset();

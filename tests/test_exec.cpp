@@ -2,7 +2,7 @@
 // of the distributed drivers' graphs: dependency semantics (diamond),
 // ordered per-lane FIFO, exception propagation with cancellation, the
 // Serial-mode calling-thread drain, and byte-for-byte serial-vs-async
-// agreement of DistFmmFft / Dist2dFft at g = 1, 2, 4.
+// agreement of DistFmmFft / Dist2dFft / DistFft1d at g = 1, 2, 4.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -230,6 +230,30 @@ TEST(Dist2dFftAsync, BitIdenticalToSerial) {
     // Chunked copies move exactly the bytes of the single-message path.
     EXPECT_DOUBLE_EQ(plan_a.fabric().bytes_with_tag("A2A-2D"),
                      plan_s.fabric().bytes_with_tag("A2A-2D"));
+  }
+}
+
+TEST(DistFft1dAsync, BitIdenticalToSerial) {
+  const index_t n = 1 << 14;
+  for (int g : {1, 2, 4}) {
+    std::vector<Cd> x((std::size_t)n), serial(x.size()), async(x.size());
+    fill_uniform(x.data(), n, 90 + g);
+    dist::DistFft1d<double> plan_s(n, g);
+    dist::DistFft1d<double> plan_a(n, g);
+    {
+      ScopedMode sm(Mode::Serial);
+      plan_s.execute(x.data(), serial.data());
+    }
+    {
+      ScopedMode sm(Mode::Async);
+      plan_a.execute(x.data(), async.data());
+    }
+    EXPECT_EQ(std::memcmp(serial.data(), async.data(), sizeof(Cd) * serial.size()), 0)
+        << "DistFft1d serial vs async differ at g=" << g;
+    // Chunked copies move exactly the bytes of the single-message path.
+    for (const char* tag : {"A2A-1", "A2A-2", "A2A-3"})
+      EXPECT_DOUBLE_EQ(plan_a.fabric().bytes_with_tag(tag), plan_s.fabric().bytes_with_tag(tag))
+          << tag << " at g=" << g;
   }
 }
 

@@ -1,6 +1,6 @@
 // Unit and property tests for the FFT substrate: Stockham vs direct DFT,
-// Bluestein sizes, round trips, batched/strided layouts, 2D transforms,
-// and classic FFT identities (linearity, Parseval, shift, impulse).
+// Bluestein sizes, round trips, batched/strided layouts, and classic FFT
+// identities (linearity, Parseval, shift, impulse).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -174,59 +174,6 @@ TEST(Fft, StridedWithUnitStrideUsesDist) {
   plan.execute_strided(data.data(), count, 1, n, Direction::Forward);
   plan.execute_batched(expect.data(), count, Direction::Forward);
   EXPECT_EQ(data, expect);
-}
-
-TEST(Fft2D, MatchesRowColumnReference) {
-  const index_t n0 = 16, n1 = 8;
-  auto x = random_signal<double>(n0 * n1, 8);
-  auto ref = x;
-  // Reference: DFT along dim0 then dim1 by explicit loops.
-  {
-    std::vector<Cx<double>> tmp(std::max(n0, n1));
-    for (index_t j = 0; j < n1; ++j) {
-      dft_reference(ref.data() + j * n0, tmp.data(), n0);
-      std::copy_n(tmp.data(), n0, ref.data() + j * n0);
-    }
-    for (index_t i = 0; i < n0; ++i) {
-      std::vector<Cx<double>> line(n1), out(n1);
-      for (index_t j = 0; j < n1; ++j) line[j] = ref[i + j * n0];
-      dft_reference(line.data(), out.data(), n1);
-      for (index_t j = 0; j < n1; ++j) ref[i + j * n0] = out[j];
-    }
-  }
-  fft2d(x.data(), n0, n1, Direction::Forward);
-  EXPECT_LT(rel_l2_error(x.data(), ref.data(), n0 * n1), 1e-12);
-}
-
-TEST(Fft2D, RoundTrip) {
-  const index_t n0 = 32, n1 = 64;
-  auto x = random_signal<double>(n0 * n1, 9);
-  auto orig = x;
-  Plan2D<double> plan(n0, n1);
-  plan.execute(x.data(), Direction::Forward);
-  plan.execute(x.data(), Direction::Inverse);
-  normalize(x.data(), n0 * n1, n0 * n1);
-  EXPECT_LT(rel_l2_error(x.data(), orig.data(), n0 * n1), 1e-13);
-  EXPECT_EQ(plan.size0(), n0);
-  EXPECT_EQ(plan.size1(), n1);
-}
-
-TEST(Fft2D, SeparabilityProperty) {
-  // 2D FFT of an outer product is the outer product of 1D FFTs.
-  const index_t n0 = 16, n1 = 32;
-  auto u = random_signal<double>(n0, 10);
-  auto v = random_signal<double>(n1, 11);
-  std::vector<Cx<double>> x(n0 * n1);
-  for (index_t j = 0; j < n1; ++j)
-    for (index_t i = 0; i < n0; ++i) x[i + j * n0] = u[i] * v[j];
-  fft2d(x.data(), n0, n1);
-  auto fu = u, fv = v;
-  fft(fu.data(), n0);
-  fft(fv.data(), n1);
-  std::vector<Cx<double>> expect(n0 * n1);
-  for (index_t j = 0; j < n1; ++j)
-    for (index_t i = 0; i < n0; ++i) expect[i + j * n0] = fu[i] * fv[j];
-  EXPECT_LT(rel_l2_error(x.data(), expect.data(), n0 * n1), 1e-12);
 }
 
 TEST(Fft, PlanReuseIsConsistent) {

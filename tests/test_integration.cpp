@@ -199,7 +199,7 @@ TEST(TransformProperties, PermutationFactorizationConsistency) {
     std::vector<double> v(static_cast<std::size_t>(m * p)), w(v.size()), u(v.size());
     fill_uniform(v.data(), m * p, m + p);
     permute_mp(v.data(), w.data(), m, p);
-    permute_pm(w.data(), u.data(), m, p);
+    permute_mp(w.data(), u.data(), p, m);
     EXPECT_EQ(u, v) << "m=" << m << " p=" << p;
   }
 }

@@ -1,86 +1,13 @@
-// Tests for the persistent tuning cache.
+// Tests for the slab-vs-pencil decomposition tuner.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "model/counts.hpp"
 #include "model/tuning.hpp"
 
 namespace fmmfft::model {
 namespace {
-
-TEST(TuningCache, StoreLookupRoundTrip) {
-  TuningCache cache;
-  TuningCache::Key key{1 << 20, 2, Scalar::C64, "2xP100-NVLink"};
-  EXPECT_FALSE(cache.lookup(key).has_value());
-  fmm::Params prm{1 << 20, 256, 16, 3, 16};
-  cache.store(key, prm);
-  auto hit = cache.lookup(key);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->p, 256);
-  EXPECT_EQ(hit->ml, 16);
-  EXPECT_EQ(cache.size(), 1u);
-  // A different precision is a different key.
-  TuningCache::Key key2 = key;
-  key2.scalar = Scalar::C32;
-  EXPECT_FALSE(cache.lookup(key2).has_value());
-}
-
-TEST(TuningCache, SaveLoadPreservesRecords) {
-  TuningCache cache;
-  cache.store({1 << 16, 2, Scalar::C64, "2xP100-NVLink"}, {1 << 16, 128, 16, 3, 16});
-  cache.store({1 << 18, 8, Scalar::C32, "8xP100-NVLink"}, {1 << 18, 256, 8, 3, 8});
-  std::stringstream ss;
-  cache.save(ss);
-  TuningCache loaded;
-  loaded.load(ss);
-  EXPECT_EQ(loaded.size(), 2u);
-  auto hit = loaded.lookup({1 << 18, 8, Scalar::C32, "8xP100-NVLink"});
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->p, 256);
-  EXPECT_EQ(hit->b, 3);
-}
-
-TEST(TuningCache, LoadSkipsCommentsAndRejectsGarbage) {
-  {
-    std::stringstream ss("# header\n\n65536 2 c64 arch : 128 16 3 16\n");
-    TuningCache cache;
-    cache.load(ss);
-    EXPECT_EQ(cache.size(), 1u);
-  }
-  {
-    std::stringstream ss("not a record\n");
-    TuningCache cache;
-    EXPECT_THROW(cache.load(ss), Error);
-  }
-  {
-    // Invalid parameters must be rejected at load time.
-    std::stringstream ss("65536 2 c64 arch : 7 16 3 16\n");  // P=7 not pow2
-    TuningCache cache;
-    EXPECT_THROW(cache.load(ss), Error);
-  }
-}
-
-TEST(TuningCache, RejectsMismatchedSize) {
-  TuningCache cache;
-  EXPECT_THROW(cache.store({1 << 20, 2, Scalar::C64, "a"}, fmm::Params{1 << 18, 256, 16, 3, 16}),
-               Error);
-}
-
-TEST(TuningCache, CachedSearchHitsAfterFirstCall) {
-  TuningCache cache;
-  const Workload w{1 << 18, true, true};
-  auto arch = p100_nvlink(2);
-  auto first = search_best_params_cached(cache, w.n, 2, w, arch, 16);
-  EXPECT_EQ(cache.size(), 1u);
-  // Poison the cache to prove the second call is a pure lookup.
-  fmm::Params marker{1 << 18, 64, 16, 3, 16};
-  cache.store({w.n, 2, Scalar::C64, arch.name}, marker);
-  auto second = search_best_params_cached(cache, w.n, 2, w, arch, 16);
-  EXPECT_EQ(second.p, 64);
-  EXPECT_TRUE(first.is_admissible(2));
-}
 
 TEST(Decomp, ParseRoundTrip) {
   EXPECT_EQ(parse_decomp("auto"), Decomp::Auto);
