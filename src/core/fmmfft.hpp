@@ -71,7 +71,8 @@ class FmmFft {
   /// The precision policy this plan was built with.
   fmm::Precision precision() const;
 
-  /// Compute output = F_N · input. Both length N; out-of-place.
+  /// Compute output = F_N · input. Both length N; `input` may alias
+  /// `output`: LOAD reads all of it before anything writes `output`.
   void execute(const InT* input, Out* output);
 
   /// Profile of the most recent execute().

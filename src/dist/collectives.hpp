@@ -25,6 +25,7 @@
 #include <cctype>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -103,6 +104,11 @@ inline exec::TaskId submit_join(exec::TaskGraph& graph, const exec::DeviceLanes&
                       {lanes.compute(r), /*ordered=*/false, "sync"}, [] {}, std::move(deps));
 }
 
+/// A gate id that gates nothing: what Exchange::submit's `producer` returns
+/// for a payload no task of the graph produces (the caller's input), or a
+/// `ready` entry for a receiver that needs no gate.
+inline constexpr exec::TaskId kNoGate = -1;
+
 /// One inter-device exchange: the pair messages of one collective phase,
 /// sharing a fabric tag, a ledger scope and a task-label stem.
 template <typename T>
@@ -160,7 +166,8 @@ struct Exchange {
   };
 
   /// Add the exchange to `graph`. Each message waits on
-  /// `producer(src, chunk)` and, when `ready` is given, on `ready[dst]`.
+  /// `producer(src, chunk)` and, when `ready` is given, on `ready[dst]`;
+  /// either id may be kNoGate (any negative id), which gates nothing.
   /// When the graph drains on one thread (exec::drains_inline) the whole
   /// exchange is one task on the first sender's compute lane, labelled with
   /// the tag, that waits on all of those and calls run(). Otherwise, in
@@ -176,8 +183,10 @@ struct Exchange {
     Tasks t{std::vector<std::vector<exec::TaskId>>((std::size_t)devices),
             std::vector<std::vector<exec::TaskId>>((std::size_t)devices)};
     auto gates = [&](const Message& m) {
-      std::vector<exec::TaskId> deps{producer(m.src, m.chunk)};
-      if (!ready.empty()) deps.push_back(ready[(std::size_t)m.dst]);
+      std::vector<exec::TaskId> deps;
+      if (const exec::TaskId p = producer(m.src, m.chunk); p >= 0) deps.push_back(p);
+      if (!ready.empty() && ready[(std::size_t)m.dst] >= 0)
+        deps.push_back(ready[(std::size_t)m.dst]);
       return deps;
     };
     if (exec::drains_inline()) {
@@ -260,14 +269,17 @@ struct Exchange {
 namespace detail {
 
 /// Scatters write the receivers' buffers while reading the senders', so no
-/// input slab of `elems` elements may overlap an output slab.
-template <typename T>
-void check_disjoint(const std::vector<T*>& in, const std::vector<T*>& out, index_t elems) {
-  const auto bytes = std::uintptr_t(elems) * sizeof(T);
+/// input slab of `in_elems` elements may overlap an output buffer of
+/// `out_elems`.
+template <typename In, typename T>
+void check_disjoint(const std::vector<In*>& in, index_t in_elems, const std::vector<T*>& out,
+                    index_t out_elems) {
+  static_assert(std::is_same_v<std::remove_const_t<In>, T>);
   for (const T* a : in)
     for (const T* b : out) {
       const auto x = reinterpret_cast<std::uintptr_t>(a), y = reinterpret_cast<std::uintptr_t>(b);
-      FMMFFT_CHECK_MSG(x + bytes <= y || y + bytes <= x,
+      FMMFFT_CHECK_MSG(x + std::uintptr_t(in_elems) * sizeof(T) <= y ||
+                           y + std::uintptr_t(out_elems) * sizeof(T) <= x,
                        "exchange input and output buffers overlap");
     }
 }
@@ -284,16 +296,17 @@ inline std::string lower(std::string s) {
 /// m ∈ [r·M/G, (r+1)·M/G) on the input side and p ∈ [r·P/G, (r+1)·P/G)
 /// on the output side; every ordered pair (r → rr) ships (M/G)·(P/G)
 /// elements as one transpose per chunk of r's local m-rows:
-/// out[rr][(r·mg + pm) + pp·M] = in[r][(rr·pg + pp) + pm·P].
-template <typename T>
-Exchange<T> exchange_permute_mp(const std::vector<T*>& in, const std::vector<T*>& out, index_t m,
+/// out[rr][(r·mg + pm) + pp·M] = in[r][(rr·pg + pp) + pm·P]. The input
+/// slabs may be const (In = const T).
+template <typename In, typename T>
+Exchange<T> exchange_permute_mp(const std::vector<In*>& in, const std::vector<T*>& out, index_t m,
                                 index_t p, std::string tag, index_t chunks = 1) {
   using X = Exchange<T>;
   const int g = (int)in.size();
   FMMFFT_CHECK(g >= 1 && (index_t)out.size() == g && chunks >= 1);
   FMMFFT_CHECK(m % g == 0 && p % g == 0);
   const index_t mg = m / g, pg = p / g;
-  detail::check_disjoint(in, out, mg * p);
+  detail::check_disjoint(in, mg * p, out, mg * p);
   X x{.devices = g, .tag = std::move(tag), .chunked = true};
   x.msgs.reserve(std::size_t(g * g * std::min(chunks, mg)));
   for (int r = 0; r < g; ++r)
@@ -321,7 +334,7 @@ Exchange<T> exchange_pencil3d_row(const std::vector<T*>& xp, const std::vector<T
   const int g = grid.devices(), pr = grid.pr, pc = grid.pc;
   FMMFFT_CHECK((index_t)xp.size() == g && (index_t)yp.size() == g && chunks >= 1);
   const index_t n0pc = n0 / pc, n1pc = n1 / pc, n2pr = n2 / pr;
-  detail::check_disjoint(xp, yp, n0 * n1pc * n2pr);
+  detail::check_disjoint(xp, n0 * n1pc * n2pr, yp, n0 * n1pc * n2pr);
   X x{.devices = g, .tag = "A2A-ROW", .scope = A2aScope::Row, .label = "row-", .chunked = true};
   x.msgs.reserve(std::size_t(g * pc * std::min(chunks, n2pr)));
   for (int s = 0; s < g; ++s) {
@@ -344,27 +357,28 @@ Exchange<T> exchange_pencil3d_row(const std::vector<T*>& xp, const std::vector<T
 
 /// Column phase of the 3D pencil exchange: y-pencils → z-pencils (device
 /// (ii,jj) holds all i2 of i1-block ii, i0-block jj) within each grid
-/// column. Pair (i,jj) → (ii,jj) ships i1-block ii for every local (i0, i2),
-/// transposing (i1, i2) per i0 line.
+/// column, written straight into the reversed-order n0·n1·n2 array
+/// out[i2 + n2·(i1 + n1·i0)], where device (ii,jj)'s z-pencils are n1/pr
+/// contiguous lines per local i0, n1·n2 apart. Pair (i,jj) → (ii,jj) ships
+/// i1-block ii for every local (i0, i2), transposing (i1, i2) per i0 line.
 template <typename T>
-Exchange<T> exchange_pencil3d_col(const std::vector<T*>& yp, const std::vector<T*>& zp,
-                                  index_t n0, index_t n1, index_t n2, const ProcGrid& grid) {
+Exchange<T> exchange_pencil3d_col(const std::vector<T*>& yp, T* out, index_t n0, index_t n1,
+                                  index_t n2, const ProcGrid& grid) {
   using X = Exchange<T>;
   const int g = grid.devices(), pr = grid.pr, pc = grid.pc;
-  FMMFFT_CHECK((index_t)yp.size() == g && (index_t)zp.size() == g);
+  FMMFFT_CHECK((index_t)yp.size() == g);
   const index_t n0pc = n0 / pc, n1pr = n1 / pr, n2pr = n2 / pr;
-  detail::check_disjoint(yp, zp, n0pc * n1 * n2pr);
+  detail::check_disjoint(yp, n0pc * n1 * n2pr, std::vector<T*>{out}, n0 * n1 * n2);
   X x{.devices = g, .tag = "A2A-COL", .scope = A2aScope::Col, .label = "col-"};
   x.msgs.reserve(std::size_t(g * pr));
   for (int t = 0; t < g; ++t) {
     const int i = grid.row_of(t), jj = grid.col_of(t);
     for (int ii = 0; ii < pr; ++ii) {
-      const int d = grid.device(ii, jj);
-      x.msgs.push_back({.src = t, .dst = d, .move = X::Move::Transpose,
+      x.msgs.push_back({.src = t, .dst = grid.device(ii, jj), .move = X::Move::Transpose,
                         .in = yp[(std::size_t)t] + ii * n1pr,
-                        .out = zp[(std::size_t)d] + i * n2pr,
+                        .out = out + n2 * (ii * n1pr + n1 * jj * n0pc) + i * n2pr,
                         .nr = n1pr, .nc = n2pr, .in_ld = n1 * n0pc, .out_ld = n2,
-                        .batch = n0pc, .in_bstride = n1, .out_bstride = n2 * n1pr});
+                        .batch = n0pc, .in_bstride = n1, .out_bstride = n2 * n1});
     }
   }
   return x;

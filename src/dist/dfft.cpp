@@ -57,9 +57,9 @@ DistFft1d<T>::DistFft1d(index_t n, int g)
 }
 
 // Π_{M,P} · (I_M⊗F_P) · Π_{P,M} · T_{P,M} · (I_P⊗F_M) · Π_{M,P} as one graph:
-// each exchange is chunked on the FFT phase that produces its payload, so
-// copies overlap the remaining chunks, and A2A-3 scatters straight into
-// `out`. Every task after A2A-1 depends on every load, so in == out is safe.
+// A2A-1 reads the caller's input slabs, each later exchange is chunked on
+// the FFT phase that produces its payload, so copies overlap the remaining
+// chunks, and A2A-3 scatters straight into `out`.
 template <typename T>
 void DistFft1d<T>::execute(const std::complex<T>* in, std::complex<T>* out) {
   using Cx = std::complex<T>;
@@ -67,28 +67,22 @@ void DistFft1d<T>::execute(const std::complex<T>* in, std::complex<T>* out) {
   const index_t ncm = phase_chunks(g_, pg), ncp = phase_chunks(g_, mg);
   auto a = buffer_ptrs(slab_a_);
   auto b = buffer_ptrs(slab_b_);
+  std::vector<const Cx*> x;
   std::vector<Cx*> y;
-  for (int r = 0; r < g_; ++r) y.push_back(out + r * slab);
+  for (int r = 0; r < g_; ++r) {
+    x.push_back(in + r * slab);
+    y.push_back(out + r * slab);
+  }
   exec::DeviceLanes lanes(g_);
   exec::TaskGraph graph(lanes.count());
   graph.name_lanes(lanes);
 
-  // Device-resident input: loading slab r is a local placement, not traffic.
-  std::vector<exec::TaskId> load;
-  for (int r = 0; r < g_; ++r)
-    load.push_back(graph.submit("load d" + std::to_string(r),
-                                {lanes.compute(r), /*ordered=*/true, "fft"},
-                                [dst = a[(std::size_t)r], src = in + r * slab, slab] {
-                                  std::memcpy(dst, src, sizeof(Cx) * (std::size_t)slab);
-                                }));
-
-  // (1) P-major -> M-major (A2A-1), then per device P/G FFTs of size M,
-  // each chunk scaling its rows by their slice of the twiddle diagonal.
-  // A2A-2 scatters back into the A slabs, so it waits until A2A-1 has
-  // finished reading them.
-  const auto a2a1 = exchange_permute_mp(a, b, m_, p_, "A2A-1")
-                        .submit(graph, lanes, fabric_,
-                                [&](int s, int) { return load[(std::size_t)s]; });
+  // (1) P-major -> M-major (A2A-1) from the device-resident input, then per
+  // device P/G FFTs of size M, each chunk scaling its rows by their slice
+  // of the twiddle diagonal. A2A-3 writes `out`, which may be `in`, so its
+  // receiver r waits until A2A-1 has finished reading input slab r.
+  const auto a2a1 = exchange_permute_mp(x, b, m_, p_, "A2A-1")
+                        .submit(graph, lanes, fabric_, [](int, int) { return kNoGate; });
   std::vector<std::vector<exec::TaskId>> fftm((std::size_t)g_);
   std::vector<exec::TaskId> war((std::size_t)g_);
   for (int r = 0; r < g_; ++r) {
@@ -110,9 +104,9 @@ void DistFft1d<T>::execute(const std::complex<T>* in, std::complex<T>* out) {
 
   // (2) M-major -> P-major (A2A-2), then M/G FFTs of size P per device.
   const auto a2a2 = exchange_permute_mp(b, a, p_, m_, "A2A-2", ncm)
-                        .submit(graph, lanes, fabric_,
-                                [&](int s, int c) { return fftm[(std::size_t)s][(std::size_t)c]; },
-                                war);
+                        .submit(graph, lanes, fabric_, [&](int s, int c) {
+                          return fftm[(std::size_t)s][(std::size_t)c];
+                        });
   std::vector<std::vector<exec::TaskId>> fftp((std::size_t)g_);
   for (int r = 0; r < g_; ++r) {
     const exec::TaskId join =
@@ -129,44 +123,35 @@ void DistFft1d<T>::execute(const std::complex<T>* in, std::complex<T>* out) {
   // (3) P-major -> M-major (A2A-3) into the caller's output: in order.
   exchange_permute_mp(a, y, m_, p_, "A2A-3", ncp)
       .submit(graph, lanes, fabric_,
-              [&](int s, int c) { return fftp[(std::size_t)s][(std::size_t)c]; });
+              [&](int s, int c) { return fftp[(std::size_t)s][(std::size_t)c]; }, war);
   graph.run();
 }
 
 template <typename T>
 Dist2dFft<T>::Dist2dFft(index_t m, index_t p, int g)
     : m_((check_split(m, p, g), m)), p_(p), g_(g), fabric_(g), plan_m_(m), plan_p_(p) {
-  for (int r = 0; r < g_; ++r) scratch_.emplace_back(m_ * p_ / g_);
+  for (int r = 0; r < g_; ++r) slabs_.emplace_back(m_ * p_ / g_);
 }
 
 template <typename T>
-void Dist2dFft<T>::execute_slabs(const std::vector<std::complex<T>*>& slabs,
-                                 sim::Fabric& fabric) {
-  exec::DeviceLanes lanes(g_);
-  exec::TaskGraph graph(lanes.count());
-  graph.name_lanes(lanes);
-  submit_slabs(graph, lanes, slabs, fabric);
-  graph.run();
-}
-
-template <typename T>
-void Dist2dFft<T>::submit_slabs(exec::TaskGraph& graph, const exec::DeviceLanes& lanes,
-                                const std::vector<std::complex<T>*>& slabs, sim::Fabric& fabric,
-                                const std::vector<exec::TaskId>& ready) {
+void Dist2dFft<T>::submit(exec::TaskGraph& graph, const exec::DeviceLanes& lanes,
+                          std::complex<T>* out, sim::Fabric& fabric,
+                          const std::vector<exec::TaskId>& filled,
+                          const std::vector<exec::TaskId>& out_free) {
   using Cx = std::complex<T>;
-  FMMFFT_CHECK((index_t)slabs.size() == g_);
-  FMMFFT_CHECK(ready.empty() || (int)ready.size() == g_);
+  FMMFFT_CHECK((int)filled.size() == g_ && (int)out_free.size() == g_);
   const index_t mg = m_ / g_, pg = p_ / g_, slab = m_ * p_ / g_;
   const index_t nc = phase_chunks(g_, mg);
-  auto sc = buffer_ptrs(scratch_);
+  auto in = buffer_ptrs(slabs_);
+  std::vector<Cx*> y;
+  for (int r = 0; r < g_; ++r) y.push_back(out + r * slab);
 
   // (a) Row FFTs over chunks of each device's contiguous p-major rows.
   std::vector<std::vector<exec::TaskId>> fftp((std::size_t)g_);
   for (int r = 0; r < g_; ++r) {
-    std::vector<exec::TaskId> deps;
-    if (!ready.empty()) deps.push_back(ready[(std::size_t)r]);
-    Cx* rows = slabs[(std::size_t)r];
-    fftp[(std::size_t)r] = submit_phase(graph, lanes, r, "fftp", "fft", mg, nc, deps,
+    Cx* rows = in[(std::size_t)r];
+    fftp[(std::size_t)r] = submit_phase(graph, lanes, r, "fftp", "fft", mg, nc,
+                                        {filled[(std::size_t)r]},
                                         [this, rows](index_t lo, index_t hi) {
                                           FMMFFT_SPAN("2DFFT-P");
                                           plan_p_.execute_batched(rows + lo * p_, hi - lo,
@@ -175,49 +160,44 @@ void Dist2dFft<T>::submit_slabs(exec::TaskGraph& graph, const exec::DeviceLanes&
   }
 
   // (b) The single all-to-all, chunk-pipelined and fused: each pair's
-  // chunk scatters straight into the receiver's scratch slab as soon as
-  // the row FFT that produced its rows is done, and chunks overlap freely
-  // (disjoint receiver regions). a2a.reads[r] holds the tasks that read
-  // slabs[r].
-  const auto a2a = exchange_permute_mp(slabs, sc, m_, p_, "A2A-2D", nc)
-                       .submit(graph, lanes, fabric, [&](int s, int c) {
-                         return fftp[(std::size_t)s][(std::size_t)c];
-                       });
+  // chunk scatters straight into the receiver's slab of `out` as soon as
+  // the row FFT that produced its rows is done and the receiver's slab is
+  // free, and chunks overlap freely (disjoint receiver regions).
+  const auto a2a = exchange_permute_mp(in, y, m_, p_, "A2A-2D", nc)
+                       .submit(graph, lanes, fabric,
+                               [&](int s, int c) { return fftp[(std::size_t)s][(std::size_t)c]; },
+                               out_free);
 
-  // (c) Column FFTs per device once every fragment of its scratch slab has
-  // arrived, then the slab write-back — which must also wait for every pack
-  // that still reads this device's slab (WAR hazard).
+  // (c) Column FFTs per device in `out` once every fragment has arrived.
   for (int r = 0; r < g_; ++r) {
     const exec::TaskId join =
         submit_join(graph, lanes, r, "a2a-join", a2a.arrived[(std::size_t)r]);
-    Cx* cols = sc[(std::size_t)r];
-    auto deps = submit_phase(graph, lanes, r, "fftm", "fft", pg, nc, {join},
-                             [this, cols](index_t lo, index_t hi) {
-                               FMMFFT_SPAN("2DFFT-M");
-                               plan_m_.execute_batched(cols + lo * m_, hi - lo,
-                                                       fft::Direction::Forward);
-                             });
-    deps.insert(deps.end(), a2a.reads[(std::size_t)r].begin(), a2a.reads[(std::size_t)r].end());
-    Cx* dst = slabs[(std::size_t)r];
-    graph.submit("writeback d" + std::to_string(r), {lanes.compute(r), /*ordered=*/true, "fft"},
-                 [dst, cols, slab] { std::memcpy(dst, cols, sizeof(Cx) * (std::size_t)slab); },
-                 std::move(deps));
+    Cx* cols = y[(std::size_t)r];
+    submit_phase(graph, lanes, r, "fftm", "fft", pg, nc, {join},
+                 [this, cols](index_t lo, index_t hi) {
+                   FMMFFT_SPAN("2DFFT-M");
+                   plan_m_.execute_batched(cols + lo * m_, hi - lo, fft::Direction::Forward);
+                 });
   }
 }
 
+// Per-device tasks load the input slabs; out's slab r is free once load r
+// has read in's slab r, so in == out is safe.
 template <typename T>
 void Dist2dFft<T>::execute(const std::complex<T>* in, std::complex<T>* out) {
-  using Cx = std::complex<T>;
-  const index_t slab = m_ * p_ / g_;
-  std::vector<Buffer<Cx>> local;
-  std::vector<Cx*> lp;
-  for (int r = 0; r < g_; ++r) {
-    local.emplace_back(slab);
-    std::memcpy(local.back().data(), in + r * slab, sizeof(Cx) * slab);
-  }
-  for (auto& l : local) lp.push_back(l.data());
-  execute_slabs(lp, fabric_);
-  for (int r = 0; r < g_; ++r) std::memcpy(out + r * slab, lp[(std::size_t)r], sizeof(Cx) * slab);
+  const index_t elems = m_ * p_ / g_;
+  exec::DeviceLanes lanes(g_);
+  exec::TaskGraph graph(lanes.count());
+  graph.name_lanes(lanes);
+  std::vector<exec::TaskId> load;
+  for (int r = 0; r < g_; ++r)
+    load.push_back(graph.submit("load d" + std::to_string(r),
+                                {lanes.compute(r), /*ordered=*/true, "fft"},
+                                [dst = slab(r), src = in + r * elems, elems] {
+                                  std::memcpy(dst, src, sizeof(*src) * (std::size_t)elems);
+                                }));
+  submit(graph, lanes, out, fabric_, load, load);
+  graph.run();
 }
 
 template class DistFft1d<float>;

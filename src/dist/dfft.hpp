@@ -7,13 +7,14 @@
 //  * Dist2dFft — the M×P 2D FFT used as the second stage of the FMM-FFT
 //    (and as Fig. 3's "2D cuFFTXT" budget bar): ONE all-to-all.
 //
-// execute() takes the full input/output arrays and runs one task graph.
-// DistFft1d's graph runs from input to output: per-device tasks load the
-// input slabs (device residency, not traffic), and its last exchange
-// scatters straight into the caller's output. Dist2dFft::execute copies
-// through per-device slabs around its graph; the distributed FMM-FFT
-// submits the 2D FFT into its own graph instead, on its output's slabs.
-// All inter-device traffic goes through the fabric ledger.
+// execute() takes the full input/output arrays and runs one task graph
+// from input to output. DistFft1d's first exchange reads the caller's input
+// slabs; Dist2dFft's per-device load tasks fill the input slabs it owns
+// (the distributed FMM-FFT's POST fills them instead, in its own graph).
+// The last exchange scatters straight into the caller's output and any FFT
+// pass after it runs there. Writes into `out` wait on every task that
+// reads the slab of `in` they overwrite, so in == out is safe. All
+// inter-device traffic goes through the fabric ledger.
 #pragma once
 
 #include <complex>
@@ -66,24 +67,26 @@ class Dist2dFft {
   /// G devices must divide both dimensions.
   Dist2dFft(index_t m, index_t p, int g);
 
+  /// out = the 2D FFT of in (in == out allowed): per-device load tasks
+  /// fill the input slabs, then the submit graph runs in the exec mode in
+  /// effect.
   void execute(const std::complex<T>* in, std::complex<T>* out);
 
-  /// In-place variant over externally owned per-device slabs of N/G
-  /// elements (used by the distributed FMM-FFT to avoid staging): builds
-  /// the submit_slabs graph and runs it in the exec mode in effect.
-  void execute_slabs(const std::vector<std::complex<T>*>& slabs, sim::Fabric& fabric);
+  /// Device r's input slab of N/G elements, which the 2D FFT owns.
+  std::complex<T>* slab(int r) { return slabs_[(std::size_t)r].data(); }
 
-  /// Submit the whole 2D FFT as tasks on `graph` — per-device row-FFT
-  /// chunks, the single all-to-all as per-(pair, chunk) fused scatter
-  /// (pack) + link accounting (copy) tasks, a per-device join, then
-  /// column-FFT chunks and the slab write-back, so copies overlap
-  /// neighbouring FFT chunks as dist::dist2dfft_schedule models. A graph
-  /// that drains on one thread gets one chunk per phase and device and one
-  /// task for the exchange. `ready[r]` (optional) gates device r's first
-  /// task; the slabs hold the result once the graph has run.
-  void submit_slabs(exec::TaskGraph& graph, const exec::DeviceLanes& lanes,
-                    const std::vector<std::complex<T>*>& slabs, sim::Fabric& fabric,
-                    const std::vector<exec::TaskId>& ready = {});
+  /// Submit the whole 2D FFT as tasks on `graph`: per-device row-FFT
+  /// chunks in the input slabs, device r's gated on `filled[r]`; the single
+  /// all-to-all as per-(pair, chunk) fused scatter (pack) + link accounting
+  /// (copy) tasks into `out`'s slabs, each message also gated on
+  /// `out_free[dst]`; a per-device join, then column-FFT chunks in `out`.
+  /// Copies overlap neighbouring FFT chunks as dist::dist2dfft_schedule
+  /// models. A graph that drains on one thread gets one chunk per phase and
+  /// device and one task for the exchange. `out` holds the result once the
+  /// graph has run.
+  void submit(exec::TaskGraph& graph, const exec::DeviceLanes& lanes, std::complex<T>* out,
+              sim::Fabric& fabric, const std::vector<exec::TaskId>& filled,
+              const std::vector<exec::TaskId>& out_free);
 
   const sim::Fabric& fabric() const { return fabric_; }
 
@@ -92,7 +95,7 @@ class Dist2dFft {
   int g_;
   sim::Fabric fabric_;
   fft::Plan1D<T> plan_m_, plan_p_;
-  std::vector<Buffer<std::complex<T>>> scratch_;
+  std::vector<Buffer<std::complex<T>>> slabs_;
 };
 
 }  // namespace fmmfft::dist

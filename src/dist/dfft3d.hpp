@@ -17,10 +17,11 @@
 // their outputs are bit-identical to each other, in either exec mode, and
 // to a G=1 run (the tests' memcmp oracle).
 //
-// Data is host-staged: execute() scatters the natural-order input (i0
-// fastest) to per-device pencils/slabs before the graph runs and gathers
-// the result after it, in the fully reversed order out[i2 + n2·(i1 + n1·i0)]
-// — the layout all decompositions share without a fourth exchange.
+// One task graph runs from input to output: per-device tasks load the
+// natural-order input (i0 fastest) into slabs or x-pencils, and the last
+// exchange scatters straight into the output, in the fully reversed order
+// out[i2 + n2·(i1 + n1·i0)] — the layout all decompositions share without
+// a fourth exchange — where the last FFT pass runs.
 #pragma once
 
 #include <complex>
@@ -45,8 +46,9 @@ class Dist3dFft {
             model::Decomp decomp = model::Decomp::Auto, model::GridShape grid = {});
 
   /// in: natural order x[i0 + n0·(i1 + n1·i2)]; out: reversed order
-  /// y[i2 + n2·(i1 + n1·i0)]. Builds the layout's task graph (submit_slab
-  /// or submit_pencil) and runs it in the exec mode in effect.
+  /// y[i2 + n2·(i1 + n1·i0)] (in == out allowed). Builds the layout's task
+  /// graph (submit_slab or submit_pencil) and runs it in the exec mode in
+  /// effect.
   void execute(const std::complex<T>* in, std::complex<T>* out);
 
   index_t n0() const { return n0_; }
@@ -59,15 +61,14 @@ class Dist3dFft {
   sim::Fabric& fabric() { return fabric_; }
 
  private:
-  void scatter(const std::complex<T>* in);
-  void gather(std::complex<T>* out) const;
-  /// Task graphs mirroring Dist2dFft::submit_slabs: per-device compute
-  /// lanes run FFT chunks and fused pack scatters, per-link copy lanes
-  /// carry the fabric accounting, and exchange chunks overlap neighbouring
-  /// FFT chunks. Returns the per-device terminal task.
-  std::vector<exec::TaskId> submit_slab(exec::TaskGraph& graph, const exec::DeviceLanes& lanes);
-  std::vector<exec::TaskId> submit_pencil(exec::TaskGraph& graph,
-                                          const exec::DeviceLanes& lanes);
+  /// Task graphs from `in` to `out`, mirroring Dist2dFft::submit: per-device
+  /// compute lanes run the loads, FFT chunks and fused pack scatters,
+  /// per-link copy lanes carry the fabric accounting, and exchange chunks
+  /// overlap neighbouring FFT chunks.
+  void submit_slab(exec::TaskGraph& graph, const exec::DeviceLanes& lanes,
+                   const std::complex<T>* in, std::complex<T>* out);
+  void submit_pencil(exec::TaskGraph& graph, const exec::DeviceLanes& lanes,
+                     const std::complex<T>* in, std::complex<T>* out);
 
   index_t n0_, n1_, n2_;
   int g_;
@@ -76,8 +77,8 @@ class Dist3dFft {
   model::DecompDecision decision_;
   sim::Fabric fabric_;
   fft::Plan1D<T> plan0_, plan1_, plan2_;
-  // Ping-pong pencils/slabs of N/G elements per device: A holds the input
-  // orientation and the final z-pencils, B the middle orientation.
+  // Pencils/slabs of N/G elements per device: A holds the loaded input
+  // orientation, B the middle one; the last exchange writes the output.
   std::vector<Buffer<std::complex<T>>> buf_a_, buf_b_;
 };
 

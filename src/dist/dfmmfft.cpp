@@ -1,12 +1,10 @@
 #include "dist/dfmmfft.hpp"
 
-#include <cstring>
 #include <string>
 
 #include "common/error.hpp"
-#include "common/threadpool.hpp"
+#include "core/shell.hpp"
 #include "dist/collectives.hpp"
-#include "fmm/operators.hpp"
 #include "obs/obs.hpp"
 #include "obs/traffic.hpp"
 
@@ -21,7 +19,7 @@ DistFmmFft<InT>::DistFmmFft(const fmm::Params& prm, int g, fmm::Precision prec)
       prec_(prec),
       fabric_(g),
       fft2d_(prm.m(), prm.p, g),
-      rho_(static_cast<std::size_t>(prm.p)) {
+      rho_(core::rho_table<Real>(prm)) {
   const bool mixed = prec_ == fmm::Precision::Mixed && sizeof(Real) == 8;
   for (int r = 0; r < g_; ++r) {
     if (mixed)
@@ -29,21 +27,13 @@ DistFmmFft<InT>::DistFmmFft(const fmm::Params& prm, int g, fmm::Precision prec)
     else
       engines_.push_back(std::make_unique<fmm::Engine<Real>>(prm_, c_, g_, r));
   }
-  for (index_t p = 1; p < prm_.p; ++p) {
-    auto r = fmm::rho(p, prm_.p, prm_.m());
-    rho_[(std::size_t)p] = Out(Real(r.real()), Real(r.imag()));
-  }
 }
 
 template <typename InT>
 template <typename ER>
-void DistFmmFft<InT>::post_slab_t(int r, Out* s) {
+void DistFmmFft<InT>::post_slab_t(int r) {
   // POST fused with the 2D-FFT load (§4.9 line 15): slab element
-  // n = p + P·mg with mg in rank r's range. Rows are independent
-  // elementwise work, so the parallel_for split is bit-identical (and it
-  // degrades to the plain loop inside an executor task). The T tensor is
-  // read at the engine width ER and widened scalar-by-scalar; the rho
-  // rotation and the slab it writes stay at the shell width.
+  // n = p + P·mg with mg in rank r's range, into the 2D FFT's input slab.
   FMMFFT_SPAN("POST");
   const index_t slab_n = prm_.n / g_;
   // Streams T once (c_ engine reals per element) and writes the complex
@@ -51,51 +41,12 @@ void DistFmmFft<InT>::post_slab_t(int r, Out* s) {
   // FMM operator tables.
   FMMFFT_TRAFFIC_RW("post", double(c_) * double(slab_n) * sizeof(ER),
                     2.0 * double(slab_n) * sizeof(Real), 0);
-  const index_t p_total = prm_.p;
-  auto& es = eset<ER>();
-  const ER* t = es[(std::size_t)r]->target_box(0);
-  const ER* rr = es[(std::size_t)r]->reduction();
-  const index_t m_loc = slab_n / p_total;
-  parallel_for(
-      m_loc,
-      [&](index_t mg_lo, index_t mg_hi) {
-        for (index_t mg = mg_lo; mg < mg_hi; ++mg)
-          for (index_t p = 0; p < p_total; ++p) {
-            const index_t i = p + p_total * mg;
-            Out tv;
-            if (c_ == 2)
-              tv = Out(Real(t[2 * i]), Real(t[2 * i + 1]));
-            else
-              tv = Out(Real(t[i]), 0);
-            if (p == 0) {
-              s[i] = tv;
-            } else {
-              const Out rp = c_ == 2 ? Out(Real(rr[2 * (p - 1)]), Real(rr[2 * (p - 1) + 1]))
-                                     : Out(0, Real(rr[p - 1]));
-              // For c == 1 rp already carries the i·r_p rotation.
-              s[i] = rho_[(std::size_t)p] * (c_ == 2 ? tv + Out(0, 1) * rp : tv + rp);
-            }
-          }
-      },
-      /*grain=*/16);
+  const auto& e = *eset<ER>()[(std::size_t)r];
+  core::post_rows<InT>(e.target_box(0), e.reduction(), rho_, prm_.p, slab_n / prm_.p,
+                       fft2d_.slab(r));
 }
 
 namespace detail {
-
-/// Device-resident load of slab r: same-width engines memcpy (the
-/// bit-identity path); a narrower engine demotes elementwise.
-template <typename InT, typename ER>
-void load_slab(fmm::Engine<ER>& e, const InT* src, index_t slab_n) {
-  using Real = real_of_t<InT>;
-  if constexpr (std::is_same_v<ER, Real>) {
-    std::memcpy(e.source_box(0), src, sizeof(InT) * static_cast<std::size_t>(slab_n));
-  } else {
-    constexpr index_t kC = components_v<InT>;
-    const Real* s = reinterpret_cast<const Real*>(src);
-    ER* d = e.source_box(0);
-    for (index_t i = 0; i < kC * slab_n; ++i) d[i] = ER(s[i]);
-  }
-}
 
 template <typename ER>
 using Engines = std::vector<std::unique_ptr<fmm::Engine<ER>>>;
@@ -181,7 +132,7 @@ void DistFmmFft<InT>::execute_t(const InT* in, Out* out) {
         dev("load", r), {lanes.compute(r), /*ordered=*/true, "fmm"}, [e, src, slab_n] {
           e->reset_stats();
           e->zero();
-          detail::load_slab(*e, src, slab_n);
+          core::load_source(*e, src, slab_n);
         });
   }
 
@@ -247,20 +198,18 @@ void DistFmmFft<InT>::execute_t(const InT* in, Out* out) {
       graph.submit(dev("l2l-" + std::to_string(lev), r),
                    {lanes.compute(r), /*ordered=*/true, "fmm"}, [e, lev] { e->l2l(lev); });
     }
-  // POST writes device r's slab of `out` (after r's LOAD on the same lane,
-  // so in == out is safe), and the distributed 2D FFT rides the same graph
-  // in those slabs.
+  // POST writes device r's input slab of the distributed 2D FFT, which
+  // rides the same graph and writes `out`. Its writes into out's slab r
+  // wait on r's LOAD, the only task that reads that slab of `in`, so
+  // in == out is safe.
   std::vector<exec::TaskId> post((std::size_t)g_);
-  std::vector<Out*> slabs;
   for (int r = 0; r < g_; ++r) {
     auto* e = es[(std::size_t)r].get();
-    Out* s = out + r * slab_n;
     graph.submit(dev("l2t", r), {lanes.compute(r), /*ordered=*/true, "fmm"}, [e] { e->l2t(); });
     post[(std::size_t)r] = graph.submit(dev("post", r), {lanes.compute(r), /*ordered=*/true, "post"},
-                                        [this, r, s] { post_slab_t<ER>(r, s); });
-    slabs.push_back(s);
+                                        [this, r] { post_slab_t<ER>(r); });
   }
-  fft2d_.submit_slabs(graph, lanes, slabs, fabric_, post);
+  fft2d_.submit(graph, lanes, out, fabric_, post, load);
   graph.run();
 }
 

@@ -4,7 +4,8 @@
 // exchanges (COMM S, COMM Mℓ), the base-level allgather (COMM M_B) and the
 // 2D FFT's single all-to-all go through the fabric ledger. One task graph
 // runs from the input to the output: LOAD reads each device's input slab,
-// and POST and the 2D FFT work in that device's slab of the output.
+// POST writes the 2D FFT's input slab, and the 2D FFT's all-to-all
+// scatters into the output, where its size-M FFTs finish.
 // Numerical results are exact (identical to the single-node pipeline up to
 // floating point associativity); timing comes from the schedule in
 // dist/schedules.hpp simulated under an architecture model.
@@ -44,8 +45,8 @@ class DistFmmFft {
   /// out = F_N · in, both length N (in == out allowed). Builds the stage
   /// task graph and runs it in the exec mode in effect (FMMFFT_EXEC or
   /// exec::ScopedMode); both modes produce bit-identical output at any
-  /// worker count. LOAD reads each device's input slab, and POST and the 2D
-  /// FFT work in its slab of `out`.
+  /// worker count. Writes into `out` wait on the LOAD that reads the same
+  /// slab of `in`.
   void execute(const InT* in, Out* out);
 
   const sim::Fabric& fabric() const { return fabric_; }
@@ -71,9 +72,9 @@ class DistFmmFft {
   template <typename ER>
   void execute_t(const InT* in, Out* out);
   /// POST for device r (§4.9 line 15): one pass from the engine's T tensor
-  /// into the 2D-FFT slab `s`, widening to the shell precision on load.
+  /// into the 2D FFT's input slab r, widening to the shell precision on load.
   template <typename ER>
-  void post_slab_t(int r, Out* s);
+  void post_slab_t(int r);
 
   fmm::Params prm_;
   int g_;

@@ -8,7 +8,9 @@
 // lane per directed device pair, mirroring the simulator's resources) — and
 // carry explicit cross-lane dependency edges. Each of the four distributed
 // drivers (DistFmmFft, DistFft1d, Dist2dFft, Dist3dFft) describes its stages
-// once, as one graph, and run() executes it one of two ways:
+// once, as one graph from the caller's input to the caller's output (no
+// data moves on the calling thread before or after it), and run() executes
+// it one of two ways:
 //
 //  * Async (the default) drains ready tasks on the existing
 //    fmmfft::ThreadPool, so device compute overlaps fabric copies exactly

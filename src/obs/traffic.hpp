@@ -37,7 +37,7 @@
 //                           the same tensors, blas.* is the per-kernel view.
 //   exec.<stage>            AUX: task-graph busy seconds per stage (async
 //                           executor); carries seconds, not bytes.
-// Staging writebacks (memcpy between equal-sized buffers at driver level)
+// Driver-level input loads (memcpy of the caller's input onto a device)
 // and operator-table reads (twiddles, chirp, S2T/M2L tables, §5.3 rule) are
 // deliberately not counted.
 #pragma once

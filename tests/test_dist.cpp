@@ -154,7 +154,8 @@ TEST(Collectives, Allgather) {
 // Every exchange builder, executed three ways on the same input:
 // Exchange::run, Exchange::submit + TaskGraph::run (a driver's task graph),
 // and an independent oracle — the staged all-to-all for the one-phase
-// Π_{M,P} builder, the x→z pencil index map for the 3D pencil pair. All
+// Π_{M,P} builder, the map from x-pencils to the reversed-order output for
+// the 3D pencil pair. All
 // three must agree byte for byte, and run and submit must put the same
 // bytes on every (src, dst) link. The enumerator values are pinned: gtest
 // prints the raw parameter bytes into each case's listed name.
@@ -216,7 +217,7 @@ void check_exchange_paths(const ExchangeCase& c) {
         return {exchange_permute_mp(in, o, m, p, "A2A-X", c.chunks)};
       case Builder::Pencil3d:
         return {exchange_pencil3d_row(in, w, n0, n1, n2, c.grid, c.chunks),
-                exchange_pencil3d_col(w, o, n0, n1, n2, c.grid)};
+                exchange_pencil3d_col(w, out.data(), n0, n1, n2, c.grid)};
     }
     return {};
   };
@@ -254,17 +255,15 @@ void check_exchange_paths(const ExchangeCase& c) {
   // (3) oracle.
   sim::Fabric f_stg(g);
   if (c.builder == Builder::Pencil3d) {
-    // x-pencil (i,j): x[i0 + n0·(i1l + n1/pc·i2l)]; z-pencil (ii,jj):
-    // z[i2 + n2·(i1l + n1/pr·i0l)].
-    const int pr = c.grid.pr, pc = c.grid.pc;
-    const index_t n0pc = n0 / pc, n1pc = n1 / pc, n1pr = n1 / pr, n2pr = n2 / pr;
-    auto xs = slab_ptrs(x, g), zs = slab_ptrs(expect, g);
+    // x-pencil (i,j): x[i0 + n0·(i1l + n1/pc·i2l)]; output in reversed
+    // order y[i2 + n2·(i1 + n1·i0)].
+    const index_t n1pc = n1 / c.grid.pc, n2pr = n2 / c.grid.pr;
+    auto xs = slab_ptrs(x, g);
     for (index_t i2 = 0; i2 < n2; ++i2)
       for (index_t i1 = 0; i1 < n1; ++i1)
         for (index_t i0 = 0; i0 < n0; ++i0) {
           const int src = c.grid.device(int(i2 / n2pr), int(i1 / n1pc));
-          const int dst = c.grid.device(int(i1 / n1pr), int(i0 / n0pc));
-          zs[(std::size_t)dst][i2 + n2 * (i1 % n1pr + n1pr * (i0 % n0pc))] =
+          expect[(std::size_t)(i2 + n2 * (i1 + n1 * i0))] =
               xs[(std::size_t)src][i0 + n0 * (i1 % n1pc + n1pc * (i2 % n2pr))];
         }
   } else {
@@ -346,6 +345,29 @@ TEST(Collectives, SendExchangesRunAndSubmitAgree) {
   }
 }
 
+TEST(Collectives, NoGateProducerSubmitsUngatedMessages) {
+  // kNoGate gates nothing: an exchange from const input slabs that no task
+  // of the graph produces runs as the graph's first tasks, in either mode.
+  const index_t m = 16, p = 8;
+  const int g = 2;
+  std::vector<double> x(std::size_t(m * p)), expect(x.size());
+  fill_uniform(x.data(), m * p, 41);
+  permute_mp(x.data(), expect.data(), m, p);
+  const std::vector<const double*> in{x.data(), x.data() + m * p / g};
+  for (exec::Mode mode : {exec::Mode::Serial, exec::Mode::Async}) {
+    exec::ScopedMode sm(mode);
+    std::vector<double> y(x.size(), -1.0);
+    sim::Fabric fabric(g);
+    exec::DeviceLanes lanes(g);
+    exec::TaskGraph graph(lanes.count());
+    exchange_permute_mp(in, slab_ptrs(y, g), m, p, "t")
+        .submit(graph, lanes, fabric, [](int, int) { return kNoGate; });
+    graph.run();
+    EXPECT_EQ(y, expect);
+    EXPECT_EQ(fabric.transfers(), std::size_t(g * (g - 1)));
+  }
+}
+
 TEST(Collectives, AliasedBuffersThrow) {
   // Scatters read the senders' slabs while writing the receivers', so the
   // builders reject overlapping input and output slabs in every build.
@@ -361,7 +383,7 @@ TEST(Collectives, AliasedBuffersThrow) {
   std::vector<double*> straddle{a.data() + slab / 2, b.data() + slab};  // partial overlap
   EXPECT_THROW(exchange_permute_mp(in, straddle, m, p, "t"), Error);
   EXPECT_THROW(exchange_pencil3d_row(in, in, 8, 4, 4, ProcGrid{1, 2}), Error);
-  EXPECT_THROW(exchange_pencil3d_col(in, in, 8, 4, 4, ProcGrid{2, 1}), Error);
+  EXPECT_THROW(exchange_pencil3d_col(in, a.data() + slab / 2, 8, 4, 4, ProcGrid{2, 1}), Error);
   EXPECT_EQ(fabric.transfers(), 0u);
   exchange_permute_mp(in, out, m, p, "t").run(fabric);
   EXPECT_EQ(fabric.transfers(), std::size_t(g * (g - 1)));
@@ -423,8 +445,9 @@ TEST(Baseline1d, OneTaskGraphPerExecute) {
 }
 
 TEST(Dist, InPlaceEqualsOutOfPlace) {
-  // in == out: every graph reads its input slabs before anything writes
-  // the output, so both drivers give the out-of-place bytes in place.
+  // in == out: every write into the output waits on the tasks that read
+  // the input it overwrites, so each driver gives the out-of-place bytes in
+  // place.
   const fmm::Params prm{1 << 12, 32, 8, 2, 12};
   std::vector<Cd> x(static_cast<std::size_t>(prm.n)), y(x.size());
   fill_uniform(x.data(), prm.n, 21);
@@ -442,6 +465,8 @@ TEST(Dist, InPlaceEqualsOutOfPlace) {
       check(base, "DistFft1d");
       DistFmmFft<Cd> fmm(prm, g);
       check(fmm, "DistFmmFft");
+      Dist2dFft<double> fft2d(prm.m(), prm.p, g);
+      check(fft2d, "Dist2dFft");
     }
   }
 }
@@ -503,6 +528,24 @@ TEST_P(DistFmmFftGrid, MatchesExactFftAndSingleNode) {
   splan.execute(x.data(), single.data());
   EXPECT_LT(rel_l2_error(got.data(), single.data(), c.n), ambient_mixed() ? 1e-7 : 1e-14)
       << "distributed vs single-node, g=" << c.g;
+  // One device runs the single-node arithmetic in the same order through
+  // the same LOAD, POST and FFT passes, so it matches byte for byte.
+  if (c.g == 1) {
+    EXPECT_EQ(0, std::memcmp(got.data(), single.data(), sizeof(Cd) * got.size()));
+  }
+
+  // Real input takes POST's C = 1 form.
+  std::vector<double> xr(x.size());
+  fill_uniform(xr.data(), c.n, 2000 + c.g);
+  DistFmmFft<double> dreal(prm, c.g);
+  dreal.execute(xr.data(), got.data());
+  core::FmmFft<double> sreal(prm);
+  sreal.execute(xr.data(), single.data());
+  EXPECT_LT(rel_l2_error(got.data(), single.data(), c.n), ambient_mixed() ? 1e-7 : 1e-14)
+      << "real input, distributed vs single-node, g=" << c.g;
+  if (c.g == 1) {
+    EXPECT_EQ(0, std::memcmp(got.data(), single.data(), sizeof(Cd) * got.size()));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, DistFmmFftGrid,
